@@ -124,7 +124,7 @@ def cmd_spectral(args, cfg: dict) -> int:
         return 0
     g2 = resolve_graph(args.graph2)
     tol = float(_setting(args, cfg, "tol", 1e-6))
-    witness = spectral.spectra_differ(g1, g2, tol)
+    witness = spectral.spectra_differ(s1, g2, tol)
     if witness is None:
         print("spectra match: no witness")
         return 1

@@ -134,23 +134,30 @@ def discriminate_pair(g1: Graph, g2: Graph, config: PairConfig = PairConfig()) -
     """Run color refinement, spectrum comparison, and the closed-walk module.
 
     overall is "separable" iff at least one method separates the pair; an
-    inconclusive report never implies the graphs are isomorphic.
+    inconclusive report never implies the graphs are isomorphic. Each graph's
+    spectrum and walk counts are computed once and shared by every mechanism.
     """
     wl_verdict = wl.wl_distinguish(g1, g2)
 
-    witness = spectral.spectra_differ(g1, g2, config.spectral_tol)
+    s1, s2 = spectral.eigendecompose(g1), spectral.eigendecompose(g2)
+    witness = spectral.spectra_differ(s1, s2, config.spectral_tol)
     spectral_verdict = "separable" if witness is not None else "inconclusive"
 
-    y1 = gnn.diagonal_module(g1, config.filter, config.sigma)
-    y2 = gnn.diagonal_module(g2, config.filter, config.sigma)
+    if config.check_conditions and config.condition_depth < 1:
+        raise ValueError("depth must be >= 1")
+    depth = max(len(config.filter), config.condition_depth if config.check_conditions else 0)
+    x1, x2 = gnn.diag_powers(g1, depth), gnn.diag_powers(g2, depth)
+    y1 = gnn._walk_readout(x1, config.filter, config.sigma)
+    y2 = gnn._walk_readout(x2, config.filter, config.sigma)
     diag_same = embeddings_isomorphic(y1, y2, config.embed_tol)
     diag_verdict = "inconclusive" if diag_same else "separable"
 
     conditions = None
     if config.check_conditions:
-        x1 = gnn.diag_powers(g1, config.condition_depth)
-        x2 = gnn.diag_powers(g2, config.condition_depth)
-        conditions = spectral.check_separability_conditions(g1, g2, x1, x2, config.embed_tol)
+        d = config.condition_depth
+        conditions = spectral.check_separability_conditions(
+            s1, s2, x1[:, :d], x2[:, :d], config.embed_tol
+        )
 
     separable = (
         wl_verdict == "distinguished"
@@ -303,8 +310,8 @@ def anonymous_embed(g: Graph, layers) -> np.ndarray:
         raise ConfigError("need at least one layer")
     first = layers[0]
     if isinstance(first, DiagLayer):
-        cols = [gnn.diagonal_module(g, f, first.sigma) for f in first.filters]
-        x = np.stack(cols, axis=1)
+        walks = gnn.diag_powers(g, max(len(f) for f in first.filters))
+        x = np.stack([gnn._walk_readout(walks, f, first.sigma) for f in first.filters], axis=1)
     elif isinstance(first, ConvLayer):
         d_in = np.atleast_2d(np.asarray(first.taps[0])).shape[0]
         x = gnn.gnn_layer(g, gnn.diag_powers(g, d_in), first.taps, first.sigma)

@@ -110,6 +110,19 @@ class StochasticConfig:
             raise ValueError(f"unknown distribution {self.distribution!r}")
 
 
+def _horner(matvec, term, order: int):
+    """sum_k M^k term(k) for k < order, nested as term(0) + M(term(1) + M(...)).
+
+    matvec applies M and returns a new array. Each term is made only when the
+    nesting reaches it and is added into that array, so no step allocates a sum.
+    """
+    acc = term(order - 1)
+    for k in range(order - 2, -1, -1):
+        acc = matvec(acc)
+        acc += term(k)
+    return acc
+
+
 def graph_filter(g: Graph, h: FilterParams, x: np.ndarray) -> np.ndarray:
     """Apply z = sum_k h_k S^k x by Horner nesting (no explicit matrix powers).
 
@@ -118,12 +131,7 @@ def graph_filter(g: Graph, h: FilterParams, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.shape[0] != g.n:
         raise DimensionMismatchError(f"input has {x.shape[0]} rows, graph has {g.n} nodes")
-    s = g.adjacency
-    c = h.coeffs
-    acc = c[-1] * x
-    for k in range(len(c) - 2, -1, -1):
-        acc = s @ acc + c[k] * x
-    return acc
+    return _horner(lambda acc: g.adjacency @ acc, lambda k: h.coeffs[k] * x, len(h))
 
 
 def gnn_layer(g: Graph, x: np.ndarray, taps, sigma=LINEAR) -> np.ndarray:
@@ -148,11 +156,7 @@ def gnn_layer(g: Graph, x: np.ndarray, taps, sigma=LINEAR) -> np.ndarray:
             raise DimensionMismatchError(
                 f"tap expects {hk.shape[0]} input features, got {x.shape[1]}"
             )
-    s = g.adjacency
-    acc = x @ hs[-1]
-    for k in range(len(hs) - 2, -1, -1):
-        acc = s @ acc + x @ hs[k]
-    return sigma(acc)
+    return sigma(_horner(lambda acc: g.adjacency @ acc, lambda k: x @ hs[k], len(hs)))
 
 
 def diag_powers(g: Graph, depth: int = 10) -> np.ndarray:
@@ -196,8 +200,12 @@ def closed_walk_count(g: Graph, v: int, k: int, *, max_n: int = 12, max_k: int =
 
 def diagonal_module(g: Graph, h: FilterParams, sigma=RELU) -> np.ndarray:
     """y = sigma(sum_k h_k diag(S^k)): the no-input closed-walk module."""
-    sigma = as_nonlinearity(sigma)
-    return sigma(diag_powers(g, len(h)) @ h.as_array())
+    return _walk_readout(diag_powers(g, len(h)), h, sigma)
+
+
+def _walk_readout(walks: np.ndarray, h: FilterParams, sigma) -> np.ndarray:
+    """sigma(sum_k h_k diag(S^k)) from closed-walk counts of any depth >= len(h)."""
+    return as_nonlinearity(sigma)(walks[:, : len(h)] @ h.as_array())
 
 
 def spectral_diagonal_module(s: "Spectrum", h: FilterParams) -> np.ndarray:
@@ -260,11 +268,9 @@ def stochastic_variance(
             x = rng.standard_normal((m, n)) * scale
         else:
             x = (rng.integers(0, 2, size=(m, n)) * 2 - 1).astype(np.float64) * scale
-        # rows are samples: S^k x per sample is x @ S^k (S symmetric)
-        acc = c[-1] * x
-        for k in range(len(c) - 2, -1, -1):
-            acc = acc @ s + c[k] * x
-        z2 = acc * acc
+        # rows are samples: S^k x per sample is x @ S^k (S symmetric). Naming the
+        # filtered block would keep it alive while the next chunk is filtered.
+        z2 = np.square(_horner(lambda acc: acc @ s, lambda k: c[k] * x, len(c)))
         sum_z2 += z2.sum(axis=0)
         sum_z4 += (z2 * z2).sum(axis=0)
         done += m

@@ -12,12 +12,13 @@ a norm, or a quadratic form, so signs never leak into results.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .gnn import DimensionMismatchError, FilterParams
+from .gnn import DimensionMismatchError, FilterParams, graph_filter
 from .graphs import Graph
 
 EPS_RESID = 1e-9
@@ -62,13 +63,11 @@ class Spectrum:
     def n(self) -> int:
         return len(self.eigenvalues)
 
-    def group_values(self) -> list[tuple[float, int]]:
-        """(representative value, multiplicity) per group, ascending."""
-        return [(grp.value, grp.multiplicity) for grp in self.groups]
-
     def find_group(self, value: float, tol: float) -> EigenGroup | None:
+        # groups ascend by value: only the two around value's insertion point can be nearest
+        i = bisect.bisect_left(self.groups, value, key=lambda grp: grp.value)
         best = None
-        for grp in self.groups:
+        for grp in self.groups[max(i - 1, 0) : i + 1]:
             if abs(grp.value - value) <= tol and (
                 best is None or abs(grp.value - value) < abs(best.value - value)
             ):
@@ -114,10 +113,8 @@ def eigendecompose(g: Graph, group_tol: float | None = None) -> Spectrum:
         raise ConvergenceFailure(str(exc)) from exc
 
     # sign convention: first entry of maximal magnitude made positive
-    for i in range(u.shape[1]):
-        j = int(np.argmax(np.abs(u[:, i])))
-        if u[j, i] < 0:
-            u[:, i] = -u[:, i]
+    flip = u[np.argmax(np.abs(u), axis=0), np.arange(g.n)] < 0
+    u[:, flip] = -u[:, flip]
 
     resid = np.linalg.norm(s @ u - u * w, axis=0)
     norm_s = max(np.linalg.norm(s), 1.0)
@@ -135,6 +132,10 @@ def eigendecompose(g: Graph, group_tol: float | None = None) -> Spectrum:
     return Spectrum(w, u, _group_indices(w, tol))
 
 
+def _spectrum(g: Graph | Spectrum) -> Spectrum:
+    return g if isinstance(g, Spectrum) else eigendecompose(g)
+
+
 def eigenvector_one_products(s: Spectrum) -> np.ndarray:
     """|u_i^T 1| per eigenvector, in eigenvalue order.
 
@@ -145,29 +146,20 @@ def eigenvector_one_products(s: Spectrum) -> np.ndarray:
     return np.abs(s.eigenvectors.T @ ones)
 
 
-def spectra_differ(g1: Graph, g2: Graph, tol: float = 1e-6) -> float | None:
+def spectra_differ(g1: Graph | Spectrum, g2: Graph | Spectrum, tol: float = 1e-6) -> float | None:
     """Witness eigenvalue present in one grouped spectrum but not the other.
 
     Returns a value whose multiplicities differ between the two graphs
     (absence counting as multiplicity 0), or None when the grouped spectra
-    match within tol. Differing node counts always produce a witness.
+    match within tol. Differing node counts always produce a witness. A
+    Spectrum may stand for its graph, which then is not decomposed again.
     """
-    s1 = eigendecompose(g1)
-    s2 = eigendecompose(g2)
-    gv1, gv2 = s1.group_values(), s2.group_values()
-
-    def find(value: float, groups) -> int:
-        for val, mult in groups:
-            if abs(val - value) <= tol:
-                return mult
-        return 0
-
-    for val, mult in gv1:
-        if find(val, gv2) != mult:
-            return val
-    for val, mult in gv2:
-        if find(val, gv1) != mult:
-            return val
+    s1, s2 = _spectrum(g1), _spectrum(g2)
+    for a, b in ((s1, s2), (s2, s1)):
+        for grp in a.groups:
+            other = b.find_group(grp.value, tol)
+            if other is None or other.multiplicity != grp.multiplicity:
+                return grp.value
     return None
 
 
@@ -206,7 +198,7 @@ def _sorted_rounded_rows(x: np.ndarray, tol: float) -> list[tuple[float, ...]]:
 
 
 def check_separability_conditions(
-    g1: Graph, g2: Graph, x1: np.ndarray, x2: np.ndarray, tol: float = 1e-6
+    g1: Graph | Spectrum, g2: Graph | Spectrum, x1: np.ndarray, x2: np.ndarray, tol: float = 1e-6
 ) -> ConditionReport:
     """Three sufficient conditions for a GNN separating (g1, x1) from (g2, x2).
 
@@ -214,6 +206,7 @@ def check_separability_conditions(
     2. some eigenvalue exclusive to g1 has eigenspace V with ||x1^T V|| > tol, or
     3. some shared eigenvalue has different multiplicities and a feature
        component outside the shared part of the two eigenspaces.
+    A Spectrum may stand for its graph, which then is not decomposed again.
     """
     x1 = np.atleast_2d(np.asarray(x1, dtype=np.float64).T).T
     x2 = np.atleast_2d(np.asarray(x2, dtype=np.float64).T).T
@@ -226,8 +219,7 @@ def check_separability_conditions(
         _sorted_rounded_rows(x1, tol) != _sorted_rounded_rows(x2, tol)
     )
 
-    s1 = eigendecompose(g1)
-    s2 = eigendecompose(g2)
+    s1, s2 = _spectrum(g1), _spectrum(g2)
 
     cond2 = None
     for grp in s1.groups:
@@ -297,12 +289,7 @@ def isolating_filter(mus, target: int, tol: float | None = None) -> FilterParams
 
 def filter_matrix(g: Graph, h: FilterParams) -> np.ndarray:
     """Materialize H(S) = sum_k h_k S^k as a dense symmetric matrix."""
-    s = g.adjacency
-    eye = np.eye(g.n)
-    acc = h.coeffs[-1] * eye
-    for k in range(len(h.coeffs) - 2, -1, -1):
-        acc = acc @ s + h.coeffs[k] * eye
-    return acc
+    return graph_filter(g, h, np.eye(g.n))
 
 
 def frequency_response(h: FilterParams, lam):
@@ -310,27 +297,22 @@ def frequency_response(h: FilterParams, lam):
 
     Accepts a scalar or an array of evaluation points.
     """
-    lam = np.asarray(lam, dtype=np.float64)
-    acc = np.full_like(lam, h.coeffs[-1])
-    for k in range(len(h.coeffs) - 2, -1, -1):
-        acc = acc * lam + h.coeffs[k]
+    acc = npoly.polyval(np.asarray(lam, dtype=np.float64), h.as_array())
     return float(acc) if acc.ndim == 0 else acc
 
 
-def abs_eigvec_test(g1: Graph, g2: Graph, tol: float = 1e-6) -> str:
+def abs_eigvec_test(g1: Graph | Spectrum, g2: Graph | Spectrum, tol: float = 1e-6) -> str:
     """Row-multiset comparison of |U| vs |Uhat| for equal simple spectra.
 
     Only meaningful when both graphs have the same eigenvalues and every
     eigenvalue is simple (then each |u_n| is basis-independent). Returns
     "not_applicable" otherwise; "separable" when the row multisets differ;
-    "inconclusive" when they match.
+    "inconclusive" when they match. A Spectrum may stand for its graph,
+    which then is not decomposed again.
     """
-    s1 = eigendecompose(g1)
-    s2 = eigendecompose(g2)
-    simple = all(grp.multiplicity == 1 for grp in s1.groups) and all(
-        grp.multiplicity == 1 for grp in s2.groups
-    )
-    if not simple or spectra_differ(g1, g2, tol) is not None:
+    s1, s2 = _spectrum(g1), _spectrum(g2)
+    simple = all(grp.multiplicity == 1 for grp in s1.groups + s2.groups)
+    if not simple or spectra_differ(s1, s2, tol) is not None:
         return "not_applicable"
     rows1 = _sorted_rounded_rows(np.abs(s1.eigenvectors), tol)
     rows2 = _sorted_rounded_rows(np.abs(s2.eigenvectors), tol)

@@ -24,6 +24,24 @@ def bipentagon():
     return corpus_graph("bipentagon")
 
 
+@pytest.fixture
+def count_calls(monkeypatch):
+    """count_calls(module, name) wraps module.name for this test; returns its call list."""
+
+    def install(module, name):
+        calls = []
+        original = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+        return calls
+
+    return install
+
+
 def random_graph_pairs(count, n_max=8, p=0.35, seed=0):
     """Seeded (graph, permuted copy, permutation) triples for invariance tests."""
     rng = np.random.default_rng(seed)

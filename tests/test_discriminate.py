@@ -11,6 +11,7 @@ from spectrawl import (
     Permutation,
     anonymous_embed,
     apply_permutation,
+    check_separability_conditions,
     constant_input_response,
     corpus_graph,
     csl_base_graph,
@@ -29,6 +30,7 @@ from spectrawl import (
     spectra_differ,
     wl_distinguish,
 )
+from spectrawl import gnn, spectral
 from spectrawl.discriminate import (
     ConfigError,
     ConvLayer,
@@ -110,6 +112,31 @@ def test_discriminate_with_condition_check(prism, k33):
     report = discriminate_pair(prism, k33, PairConfig(check_conditions=True))
     assert report.conditions is not None
     assert report.conditions.verdict == "separable"
+
+
+def test_discriminate_pair_computes_spectrum_and_walks_once(count_calls, prism, k33):
+    eig = count_calls(spectral, "eigendecompose")
+    walks = count_calls(gnn, "diag_powers")
+    discriminate_pair(prism, k33, PairConfig(check_conditions=True))
+    assert len(eig) == 2
+    assert [args[1] for args in walks] == [10, 10]  # max(len(filter), condition_depth)
+
+
+def test_discriminate_shared_walks_match_standalone_mechanisms(bihexagon, bipentagon):
+    for depth in (3, 10):
+        config = PairConfig(check_conditions=True, condition_depth=depth)
+        report = discriminate_pair(bihexagon, bipentagon, config)
+        x1, x2 = diag_powers(bihexagon, depth), diag_powers(bipentagon, depth)
+        assert report.conditions == check_separability_conditions(bihexagon, bipentagon, x1, x2)
+        assert report.diag_outputs == (
+            tuple(diagonal_module(bihexagon, PAIR_FILTER)),
+            tuple(diagonal_module(bipentagon, PAIR_FILTER)),
+        )
+
+
+def test_discriminate_condition_depth_must_be_positive(prism, k33):
+    with pytest.raises(ValueError):
+        discriminate_pair(prism, k33, PairConfig(check_conditions=True, condition_depth=0))
 
 
 def test_report_json_roundtrip(prism, k33):
@@ -202,6 +229,12 @@ def test_anonymous_embed_selector_layer_is_walk_features(prism, bihexagon):
     for g in (prism, bihexagon):
         x = anonymous_embed(g, [selector_diag_layer(6)])
         np.testing.assert_array_equal(x, diag_powers(g, 6))
+
+
+def test_anonymous_embed_builds_walk_counts_once(count_calls, prism):
+    calls = count_calls(gnn, "diag_powers")
+    anonymous_embed(prism, [selector_diag_layer(6)])
+    assert len(calls) == 1
 
 
 def test_anonymous_embed_first_layer_equivalence(prism, bihexagon):

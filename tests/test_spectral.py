@@ -18,9 +18,10 @@ from spectrawl import (
     isolating_filter,
     spectra_differ,
 )
+from spectrawl import spectral
 from spectrawl.discriminate import PAIR_FILTER
 from spectrawl.gnn import DimensionMismatchError
-from spectrawl.spectral import DegenerateNodesError, NoSuchEigenvalueError
+from spectrawl.spectral import DegenerateNodesError, EigenGroup, NoSuchEigenvalueError, Spectrum
 
 from conftest import random_graph_pairs
 
@@ -110,23 +111,28 @@ def test_spectra_differ_prism_k33(prism, k33):
     witness = spectra_differ(prism, k33)
     assert witness is not None
     assert _multiplicity(prism, witness) != _multiplicity(k33, witness)
+    assert spectra_differ(eigendecompose(prism), eigendecompose(k33)) == witness
+    assert spectra_differ(eigendecompose(prism), k33) == witness
 
 
 def test_spectra_differ_ten_node_pair(bihexagon, bipentagon):
     witness = spectra_differ(bihexagon, bipentagon)
     assert witness is not None
     assert _multiplicity(bihexagon, witness) != _multiplicity(bipentagon, witness)
+    assert spectra_differ(eigendecompose(bihexagon), eigendecompose(bipentagon)) == witness
 
 
 def test_spectra_differ_isomorphic_none():
     for g, permuted, _ in random_graph_pairs(15, seed=3):
         assert spectra_differ(g, permuted) is None
+        assert spectra_differ(eigendecompose(g), eigendecompose(permuted)) is None
         assert is_isomorphic_bruteforce(g, permuted)
 
 
 def test_spectra_differ_size_mismatch_is_witness(prism):
     p3 = from_edge_list(3, [(0, 1), (1, 2)])
     assert spectra_differ(prism, p3) is not None
+    assert spectra_differ(eigendecompose(prism), eigendecompose(p3)) == spectra_differ(prism, p3)
 
 
 def test_eigenspace_perron(prism):
@@ -149,9 +155,25 @@ def test_eigenspace_missing(prism):
         eigenspace(eigendecompose(prism), 7.0)
 
 
+def test_find_group_nearest_within_tol():
+    values = (-1.0, 0.0, 1.0, 2.0)
+    groups = tuple(EigenGroup(v, (i,)) for i, v in enumerate(values))
+    s = Spectrum(np.array(values), np.eye(4), groups)
+    assert s.find_group(0.5, 0.6).value == 0.0  # tie: the lower group
+    assert s.find_group(0.6, 0.6).value == 1.0
+    assert s.find_group(-1.5, 0.6).value == -1.0  # below every group
+    assert s.find_group(2.5, 0.6).value == 2.0  # above every group
+    assert s.find_group(3.0, 0.6) is None
+    for value in np.random.default_rng(0).uniform(-2.0, 3.0, 200):
+        within = [g for g in groups if abs(g.value - value) <= 0.3]
+        nearest = min(within, key=lambda g: abs(g.value - value), default=None)
+        assert s.find_group(value, 0.3) is nearest
+
+
 def test_check_separability_conditions_all_ones_inconclusive(prism, k33):
     ones = np.ones((6, 1))
     report = check_separability_conditions(prism, k33, ones, ones)
+    assert check_separability_conditions(eigendecompose(prism), eigendecompose(k33), ones, ones) == report
     assert report.verdict == "inconclusive"
     assert not report.cond1_signals_differ
     assert report.cond2_witness is None
@@ -159,7 +181,9 @@ def test_check_separability_conditions_all_ones_inconclusive(prism, k33):
 
 
 def test_check_separability_conditions_walk_features_cond1(prism, k33):
-    report = check_separability_conditions(prism, k33, diag_powers(prism, 4), diag_powers(k33, 4))
+    x1, x2 = diag_powers(prism, 4), diag_powers(k33, 4)
+    report = check_separability_conditions(prism, k33, x1, x2)
+    assert check_separability_conditions(eigendecompose(prism), eigendecompose(k33), x1, x2) == report
     assert report.cond1_signals_differ
     assert report.verdict == "separable"
 
@@ -170,6 +194,7 @@ def test_check_separability_conditions_cond2():
     k3 = from_edge_list(3, [(0, 1), (1, 2), (0, 2)])
     ones = np.ones((3, 1))
     report = check_separability_conditions(p3, k3, ones, ones)
+    assert check_separability_conditions(eigendecompose(p3), eigendecompose(k3), ones, ones) == report
     assert report.cond2_witness is not None
     assert report.verdict == "separable"
 
@@ -181,6 +206,7 @@ def test_check_separability_conditions_cond3():
     g_edge = from_edge_list(4, [(0, 1)])
     ones = np.ones((4, 1))
     report = check_separability_conditions(g_empty, g_edge, ones, ones)
+    assert check_separability_conditions(eigendecompose(g_empty), g_edge, ones, ones) == report
     assert not report.cond1_signals_differ
     assert report.cond2_witness is None
     value, m1, m2, w1, w2 = report.cond3_witness
@@ -192,12 +218,17 @@ def test_check_separability_conditions_cond3():
 def test_check_separability_conditions_self_pair(prism):
     x = diag_powers(prism, 4)
     report = check_separability_conditions(prism, prism, x, x)
+    assert check_separability_conditions(eigendecompose(prism), prism, x, x) == report
     assert report.verdict == "inconclusive"
 
 
 def test_check_separability_conditions_dimension_mismatch(prism, k33):
     with pytest.raises(DimensionMismatchError):
         check_separability_conditions(prism, k33, np.ones((5, 1)), np.ones((6, 1)))
+    with pytest.raises(DimensionMismatchError):
+        check_separability_conditions(
+            eigendecompose(prism), eigendecompose(k33), np.ones((5, 1)), np.ones((6, 1))
+        )
 
 
 def test_isolating_filter_two_values():
@@ -256,10 +287,20 @@ def test_abs_eigvec_test_relabeled_path():
     p3 = from_edge_list(3, [(0, 1), (1, 2)])
     relabeled = from_edge_list(3, [(1, 0), (0, 2)])
     assert abs_eigvec_test(p3, relabeled) == "inconclusive"
+    assert abs_eigvec_test(eigendecompose(p3), eigendecompose(relabeled)) == "inconclusive"
+
+
+def test_abs_eigvec_test_decomposes_each_graph_once(count_calls):
+    calls = count_calls(spectral, "eigendecompose")
+    p3 = from_edge_list(3, [(0, 1), (1, 2)])
+    relabeled = from_edge_list(3, [(1, 0), (0, 2)])
+    assert abs_eigvec_test(p3, relabeled) == "inconclusive"
+    assert len(calls) == 2
 
 
 def test_abs_eigvec_test_not_applicable(prism, k33):
     assert abs_eigvec_test(prism, k33) == "not_applicable"
+    assert abs_eigvec_test(eigendecompose(prism), eigendecompose(k33)) == "not_applicable"
 
 
 def test_abs_eigvec_test_random_search_soundness():
@@ -273,6 +314,7 @@ def test_abs_eigvec_test_random_search_soundness():
         g1 = from_edge_list(n, _random_edges(n, rng))
         g2 = from_edge_list(n, _random_edges(n, rng))
         verdict = abs_eigvec_test(g1, g2)
+        assert abs_eigvec_test(eigendecompose(g1), eigendecompose(g2)) == verdict
         if verdict == "not_applicable":
             continue
         hits += 1
