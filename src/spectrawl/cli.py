@@ -73,8 +73,7 @@ def _pair_config(args, cfg: dict) -> discriminate.PairConfig:
     return discriminate.PairConfig(
         filter=_parse_filter(filt) if filt is not None else discriminate.PAIR_FILTER,
         sigma=gnn.as_nonlinearity(sigma),
-        spectral_tol=float(tol),
-        embed_tol=float(tol),
+        tol=float(tol),
     )
 
 

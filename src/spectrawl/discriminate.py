@@ -17,6 +17,7 @@ import numpy as np
 from . import gnn, spectral, wl
 from .gnn import FilterParams, Nonlinearity
 from .graphs import Graph, from_edge_list
+from .spectral import embeddings_isomorphic
 
 
 class InvalidSkipError(ValueError):
@@ -34,29 +35,13 @@ PAIR_FILTER = FilterParams((10.0, 1.0, -1 / 2, 1 / 3, -1 / 4, 1 / 5))
 CSL_FILTER = FilterParams((0.0, 1.0, -1 / 2, 1 / 3, -1 / 4, 1 / 5, -1 / 6, 1 / 7, -1 / 8, 1 / 9))
 
 
-def embeddings_isomorphic(y1: np.ndarray, y2: np.ndarray, tol: float = 1e-6) -> bool:
-    """True iff the two embeddings match as row multisets at resolution tol.
-
-    Rows are rounded to ceil(-log10(tol)) digits and compared after
-    lexicographic sorting, so any node permutation is factored out.
-    """
-    y1 = np.atleast_2d(np.asarray(y1, dtype=np.float64).T).T
-    y2 = np.atleast_2d(np.asarray(y2, dtype=np.float64).T).T
-    if y1.shape[1] != y2.shape[1]:
-        raise ValueError("embeddings must share a column count")
-    if y1.shape[0] != y2.shape[0]:
-        return False
-    return spectral._sorted_rounded_rows(y1, tol) == spectral._sorted_rounded_rows(y2, tol)
-
-
 @dataclass(frozen=True)
 class PairConfig:
     """Knobs for discriminate_pair; defaults match the worked examples."""
 
     filter: FilterParams = PAIR_FILTER
     sigma: Nonlinearity = gnn.RELU
-    spectral_tol: float = 1e-6
-    embed_tol: float = 1e-6
+    tol: float = 1e-6               # eigenvalue matching and row-multiset resolution
     check_conditions: bool = False  # also run the three-condition feature test
     condition_depth: int = 10       # closed-walk feature depth for that test
 
@@ -137,26 +122,26 @@ def discriminate_pair(g1: Graph, g2: Graph, config: PairConfig = PairConfig()) -
     inconclusive report never implies the graphs are isomorphic. Each graph's
     spectrum and walk counts are computed once and shared by every mechanism.
     """
+    if config.check_conditions and config.condition_depth < 1:
+        raise ValueError("depth must be >= 1")
     wl_verdict = wl.wl_distinguish(g1, g2)
 
     s1, s2 = spectral.eigendecompose(g1), spectral.eigendecompose(g2)
-    witness = spectral.spectra_differ(s1, s2, config.spectral_tol)
+    witness = spectral.spectra_differ(s1, s2, config.tol)
     spectral_verdict = "separable" if witness is not None else "inconclusive"
 
-    if config.check_conditions and config.condition_depth < 1:
-        raise ValueError("depth must be >= 1")
     depth = max(len(config.filter), config.condition_depth if config.check_conditions else 0)
     x1, x2 = gnn.diag_powers(g1, depth), gnn.diag_powers(g2, depth)
     y1 = gnn._walk_readout(x1, config.filter, config.sigma)
     y2 = gnn._walk_readout(x2, config.filter, config.sigma)
-    diag_same = embeddings_isomorphic(y1, y2, config.embed_tol)
+    diag_same = embeddings_isomorphic(y1, y2, config.tol)
     diag_verdict = "inconclusive" if diag_same else "separable"
 
     conditions = None
     if config.check_conditions:
         d = config.condition_depth
         conditions = spectral.check_separability_conditions(
-            s1, s2, x1[:, :d], x2[:, :d], config.embed_tol
+            s1, s2, x1[:, :d], x2[:, :d], config.tol
         )
 
     separable = (

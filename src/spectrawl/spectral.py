@@ -99,12 +99,13 @@ def _group_indices(w: np.ndarray, tol: float) -> tuple[EigenGroup, ...]:
     return tuple(groups)
 
 
-def eigendecompose(g: Graph, group_tol: float | None = None) -> Spectrum:
+def eigendecompose(g: Graph) -> Spectrum:
     """Dense symmetric eigendecomposition S = U diag(w) U^T.
 
     Deterministic for a fixed input: eigenvalues come back ascending and each
     eigenvector is sign-fixed so that its largest-magnitude entry is positive.
-    Residual and orthogonality are checked against EPS_RESID / EPS_ORTH.
+    Residual and orthogonality are checked against EPS_RESID / EPS_ORTH, and
+    eigenvalues are grouped at default_group_tol.
     """
     s = g.adjacency
     try:
@@ -124,12 +125,9 @@ def eigendecompose(g: Graph, group_tol: float | None = None) -> Spectrum:
     if orth > EPS_ORTH:
         raise ConvergenceFailure(f"eigenvector orthogonality off by {orth:.3e}")
 
-    tol = default_group_tol(w) if group_tol is None else group_tol
-    w = w.copy()
-    u = u.copy()
     w.flags.writeable = False
     u.flags.writeable = False
-    return Spectrum(w, u, _group_indices(w, tol))
+    return Spectrum(w, u, _group_indices(w, default_group_tol(w)))
 
 
 def _spectrum(g: Graph | Spectrum) -> Spectrum:
@@ -156,11 +154,21 @@ def spectra_differ(g1: Graph | Spectrum, g2: Graph | Spectrum, tol: float = 1e-6
     """
     s1, s2 = _spectrum(g1), _spectrum(g2)
     for a, b in ((s1, s2), (s2, s1)):
-        for grp in a.groups:
-            other = b.find_group(grp.value, tol)
-            if other is None or other.multiplicity != grp.multiplicity:
-                return grp.value
+        for grp, _ in _unmatched_groups(a, b, tol):
+            return grp.value
     return None
+
+
+def _unmatched_groups(a: Spectrum, b: Spectrum, tol: float):
+    """Yield (group, partner) for each group of a that b lacks at equal multiplicity.
+
+    partner is b's nearest group within tol, or None when b has none there.
+    Groups are visited in a's ascending order.
+    """
+    for grp in a.groups:
+        other = b.find_group(grp.value, tol)
+        if other is None or other.multiplicity != grp.multiplicity:
+            yield grp, other
 
 
 def eigenspace(s: Spectrum, value: float, tol: float = 1e-6) -> Eigenspace:
@@ -190,11 +198,29 @@ class ConditionReport:
         return self.verdict == "separable"
 
 
-def _sorted_rounded_rows(x: np.ndarray, tol: float) -> list[tuple[float, ...]]:
+def _as_rows(x) -> np.ndarray:
+    """x as a float64 matrix with one row per node; a vector becomes one column."""
+    return np.atleast_2d(np.asarray(x, dtype=np.float64).T).T
+
+
+def embeddings_isomorphic(y1: np.ndarray, y2: np.ndarray, tol: float = 1e-6) -> bool:
+    """True iff the two embeddings match as row multisets at resolution tol.
+
+    Rows are rounded to ceil(-log10(tol)) digits and compared after
+    lexicographic sorting, so any node permutation is factored out. Every
+    row-multiset verdict in the package is made here.
+    """
+    if not 0 < tol < np.inf:
+        raise ValueError(f"tolerance must be positive and finite, got {tol}")
+    y1, y2 = _as_rows(y1), _as_rows(y2)
+    if y1.shape[1] != y2.shape[1]:
+        raise ValueError("embeddings must share a column count")
+    if y1.shape[0] != y2.shape[0]:
+        return False
     digits = max(0, int(np.ceil(-np.log10(tol))))
-    rounded = np.round(np.asarray(x, dtype=np.float64), digits)
-    rounded += 0.0  # normalize -0.0
-    return sorted(tuple(row) for row in rounded)
+    # adding 0.0 turns -0.0 into 0.0
+    rows1, rows2 = (sorted(map(tuple, np.round(y, digits) + 0.0)) for y in (y1, y2))
+    return rows1 == rows2
 
 
 def check_separability_conditions(
@@ -208,22 +234,20 @@ def check_separability_conditions(
        component outside the shared part of the two eigenspaces.
     A Spectrum may stand for its graph, which then is not decomposed again.
     """
-    x1 = np.atleast_2d(np.asarray(x1, dtype=np.float64).T).T
-    x2 = np.atleast_2d(np.asarray(x2, dtype=np.float64).T).T
+    x1, x2 = _as_rows(x1), _as_rows(x2)
     if x1.shape[0] != g1.n or x2.shape[0] != g2.n:
         raise DimensionMismatchError("feature row counts must match graph sizes")
     if x1.shape[1] != x2.shape[1]:
         raise DimensionMismatchError("feature matrices must share a column count")
 
-    cond1 = (g1.n != g2.n) or (
-        _sorted_rounded_rows(x1, tol) != _sorted_rounded_rows(x2, tol)
-    )
+    cond1 = not embeddings_isomorphic(x1, x2, tol)
 
     s1, s2 = _spectrum(g1), _spectrum(g2)
+    unmatched = list(_unmatched_groups(s1, s2, tol))
 
     cond2 = None
-    for grp in s1.groups:
-        if s2.find_group(grp.value, tol) is not None:
+    for grp, other in unmatched:
+        if other is not None:
             continue
         v = s1.eigenvectors[:, list(grp.indices)]
         weight = float(np.linalg.norm(x1.T @ v))
@@ -233,33 +257,24 @@ def check_separability_conditions(
 
     cond3 = None
     if g1.n == g2.n:
-        for grp in s1.groups:
-            other = s2.find_group(grp.value, tol)
-            if other is None or other.multiplicity == grp.multiplicity:
+        for grp, other in unmatched:
+            if other is None:
                 continue
             v1 = s1.eigenvectors[:, list(grp.indices)]
             v2 = s2.eigenvectors[:, list(other.indices)]
-            # split off the shared subspace: singular value ~1 in V1^T V2
-            # marks a common direction, the rest is exclusive to each side
+            # split off the shared subspace: singular value ~1 in V1^T V2 marks
+            # a common direction. They descend, so the first r are shared; the
+            # rest are copied out by mask, as a strided slice can move the last bit
             a, sv, bt = np.linalg.svd(v1.T @ v2)
-            shared = sv >= 1.0 - max(tol, 1e-9)
-            q1 = v1 @ a[:, ~_pad_mask(shared, a.shape[1])]
-            q2 = v2 @ bt.T[:, ~_pad_mask(shared, bt.shape[0])]
-            w1 = float(np.linalg.norm(x1.T @ q1)) if q1.shape[1] else 0.0
-            w2 = float(np.linalg.norm(x2.T @ q2)) if q2.shape[1] else 0.0
+            r = int(np.count_nonzero(sv >= 1.0 - max(tol, 1e-9)))
+            w1 = float(np.linalg.norm(x1.T @ (v1 @ a[:, np.arange(len(a)) >= r])))
+            w2 = float(np.linalg.norm(x2.T @ (v2 @ bt.T[:, np.arange(len(bt)) >= r])))
             if w1 > tol or w2 > tol:
                 cond3 = (grp.value, grp.multiplicity, other.multiplicity, w1, w2)
                 break
 
     verdict = "separable" if (cond1 or cond2 or cond3) else "inconclusive"
     return ConditionReport(cond1, cond2, cond3, verdict)
-
-
-def _pad_mask(mask: np.ndarray, size: int) -> np.ndarray:
-    """Extend a boolean mask with False up to `size` entries."""
-    out = np.zeros(size, dtype=bool)
-    out[: len(mask)] = mask
-    return out
 
 
 def isolating_filter(mus, target: int, tol: float | None = None) -> FilterParams:
@@ -314,6 +329,5 @@ def abs_eigvec_test(g1: Graph | Spectrum, g2: Graph | Spectrum, tol: float = 1e-
     simple = all(grp.multiplicity == 1 for grp in s1.groups + s2.groups)
     if not simple or spectra_differ(s1, s2, tol) is not None:
         return "not_applicable"
-    rows1 = _sorted_rounded_rows(np.abs(s1.eigenvectors), tol)
-    rows2 = _sorted_rounded_rows(np.abs(s2.eigenvectors), tol)
-    return "inconclusive" if rows1 == rows2 else "separable"
+    same = embeddings_isomorphic(np.abs(s1.eigenvectors), np.abs(s2.eigenvectors), tol)
+    return "inconclusive" if same else "separable"

@@ -81,6 +81,13 @@ def test_discriminate_isomorphic_exit_code(capsys, tmp_path):
     assert json.loads(out)["overall"] == "inconclusive"
 
 
+@pytest.mark.parametrize("tol", ["0", "-1", "nan"])
+def test_discriminate_bad_tolerance_is_a_usage_error(capsys, tol):
+    code, _, err = run(capsys, "discriminate", "prism", "k33", "--tol", tol)
+    assert code == 2
+    assert "error:" in err and "tolerance" in err
+
+
 def test_discriminate_filter_flag(capsys):
     code, out, _ = run(capsys, "discriminate", "prism", "k33", "--filter", "10,1,-0.5", "--sigma", "linear")
     assert code == 0

@@ -81,6 +81,19 @@ def test_embeddings_isomorphic_row_count_mismatch():
     assert not embeddings_isomorphic(np.ones((3, 1)), np.ones((4, 1)))
 
 
+@pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
+def test_embeddings_isomorphic_rejects_bad_tolerance(tol):
+    with pytest.raises(ValueError, match="tolerance"):
+        embeddings_isomorphic(np.ones((3, 1)), np.ones((3, 1)), tol)
+
+
+def test_embeddings_isomorphic_is_the_spectral_comparator():
+    from spectrawl import discriminate
+
+    assert discriminate.embeddings_isomorphic is spectral.embeddings_isomorphic
+    assert embeddings_isomorphic is spectral.embeddings_isomorphic
+
+
 def test_discriminate_six_node_pair(prism, k33):
     report = discriminate_pair(prism, k33)
     assert report.wl == "indistinguishable"
@@ -134,9 +147,11 @@ def test_discriminate_shared_walks_match_standalone_mechanisms(bihexagon, bipent
         )
 
 
-def test_discriminate_condition_depth_must_be_positive(prism, k33):
+def test_discriminate_condition_depth_must_be_positive(prism, k33, count_calls):
+    calls = count_calls(spectral, "eigendecompose")
     with pytest.raises(ValueError):
         discriminate_pair(prism, k33, PairConfig(check_conditions=True, condition_depth=0))
+    assert len(calls) == 0  # rejected before any work
 
 
 def test_report_json_roundtrip(prism, k33):

@@ -48,6 +48,7 @@ def test_spectrum_invariants_on_corpus():
         g = entry.graph
         s = eigendecompose(g)
         a = g.adjacency
+        assert not s.eigenvalues.flags.writeable and not s.eigenvectors.flags.writeable
         # residual and orthogonality
         resid = np.linalg.norm(a @ s.eigenvectors - s.eigenvectors * s.eigenvalues, axis=0)
         assert resid.max() <= 1e-9 * np.linalg.norm(a)
@@ -180,9 +181,11 @@ def test_check_separability_conditions_all_ones_inconclusive(prism, k33):
     assert report.cond3_witness is None
 
 
-def test_check_separability_conditions_walk_features_cond1(prism, k33):
+def test_check_separability_conditions_walk_features_cond1(prism, k33, count_calls):
+    compares = count_calls(spectral, "embeddings_isomorphic")
     x1, x2 = diag_powers(prism, 4), diag_powers(k33, 4)
     report = check_separability_conditions(prism, k33, x1, x2)
+    assert len(compares) == 1  # condition 1 goes through the one row-multiset comparator
     assert check_separability_conditions(eigendecompose(prism), eigendecompose(k33), x1, x2) == report
     assert report.cond1_signals_differ
     assert report.verdict == "separable"
@@ -213,6 +216,12 @@ def test_check_separability_conditions_cond3():
     assert (abs(value), m1, m2) == (0.0, 4, 2)
     assert w1 == pytest.approx(np.sqrt(2.0))
     assert report.verdict == "separable"
+    # swapped: the smaller eigenspace lies inside the larger one, so only the
+    # second graph's side has directions outside the shared subspace
+    swapped = check_separability_conditions(g_edge, g_empty, ones, ones)
+    assert swapped.cond2_witness == pytest.approx((1.0, np.sqrt(2.0)))
+    assert swapped.cond3_witness == pytest.approx((0.0, 2, 4, 0.0, np.sqrt(2.0)), abs=1e-12)
+    assert swapped.cond3_witness[1:3] == (2, 4)
 
 
 def test_check_separability_conditions_self_pair(prism):
@@ -292,10 +301,12 @@ def test_abs_eigvec_test_relabeled_path():
 
 def test_abs_eigvec_test_decomposes_each_graph_once(count_calls):
     calls = count_calls(spectral, "eigendecompose")
+    compares = count_calls(spectral, "embeddings_isomorphic")
     p3 = from_edge_list(3, [(0, 1), (1, 2)])
     relabeled = from_edge_list(3, [(1, 0), (0, 2)])
     assert abs_eigvec_test(p3, relabeled) == "inconclusive"
     assert len(calls) == 2
+    assert len(compares) == 1  # |U1| against |U2|, through the one row-multiset comparator
 
 
 def test_abs_eigvec_test_not_applicable(prism, k33):
