@@ -45,6 +45,9 @@ class PairConfig:
     check_conditions: bool = False  # also run the three-condition feature test
     condition_depth: int = 10       # closed-walk feature depth for that test
 
+    def __post_init__(self):
+        spectral._check_tol(self.tol)
+
 
 @dataclass(frozen=True)
 class DiscriminationReport:

@@ -164,16 +164,28 @@ def diag_powers(g: Graph, depth: int = 10) -> np.ndarray:
 
     Column 0 is all ones, column 1 all zeros (no self-loops), column 2 the
     degrees, column 3 twice the per-node triangle count, and so on. Entries
-    are nonnegative integers stored as float64.
+    are stored as float64: they are exact nonnegative integers while every
+    count stays below 2^53, and rounded past that bound.
+
+    S is symmetric, so diag(S^k) is the row-wise dot product of S^floor(k/2)
+    and S^ceil(k/2): only the powers up to S^ceil((depth-1)/2) are formed,
+    and no more than two of them are alive at once.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
+    s = g.adjacency
     out = np.empty((g.n, depth))
-    p = np.eye(g.n)
-    for k in range(depth):
-        out[:, k] = np.diag(p)
-        if k + 1 < depth:
-            p = p @ g.adjacency
+    out[:, 0] = 1.0
+    if depth > 1:
+        out[:, 1] = np.diag(s)
+    p = q = s  # S^floor(k/2) and S^ceil(k/2)
+    for k in range(2, depth):
+        p = q
+        if k % 2:
+            q = q @ s
+        # one BLAS dot per row: no n x n temporary, and past 2^53 it rounds
+        # less than a running sum (np.einsum) does
+        out[:, k] = (p[:, None, :] @ q[:, :, None])[:, 0, 0]
     return out
 
 

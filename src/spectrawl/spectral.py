@@ -159,12 +159,19 @@ def spectra_differ(g1: Graph | Spectrum, g2: Graph | Spectrum, tol: float = 1e-6
     return None
 
 
+def _check_tol(tol: float) -> None:
+    """Raise ValueError unless 0 < tol < inf; every comparison tolerance passes here."""
+    if not 0 < tol < np.inf:
+        raise ValueError(f"tolerance must be positive and finite, got {tol}")
+
+
 def _unmatched_groups(a: Spectrum, b: Spectrum, tol: float):
     """Yield (group, partner) for each group of a that b lacks at equal multiplicity.
 
     partner is b's nearest group within tol, or None when b has none there.
     Groups are visited in a's ascending order.
     """
+    _check_tol(tol)
     for grp in a.groups:
         other = b.find_group(grp.value, tol)
         if other is None or other.multiplicity != grp.multiplicity:
@@ -173,6 +180,7 @@ def _unmatched_groups(a: Spectrum, b: Spectrum, tol: float):
 
 def eigenspace(s: Spectrum, value: float, tol: float = 1e-6) -> Eigenspace:
     """Orthonormal basis of the eigenvalue group matching `value` within tol."""
+    _check_tol(tol)
     grp = s.find_group(value, tol)
     if grp is None:
         raise NoSuchEigenvalueError(f"no eigenvalue within {tol} of {value}")
@@ -210,8 +218,7 @@ def embeddings_isomorphic(y1: np.ndarray, y2: np.ndarray, tol: float = 1e-6) -> 
     lexicographic sorting, so any node permutation is factored out. Every
     row-multiset verdict in the package is made here.
     """
-    if not 0 < tol < np.inf:
-        raise ValueError(f"tolerance must be positive and finite, got {tol}")
+    _check_tol(tol)
     y1, y2 = _as_rows(y1), _as_rows(y2)
     if y1.shape[1] != y2.shape[1]:
         raise ValueError("embeddings must share a column count")

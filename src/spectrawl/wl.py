@@ -1,9 +1,9 @@
 """1-WL color refinement with exact multiset relabeling.
 
-Relabeling goes through a dictionary keyed by (old color, sorted neighbor
-color multiset) pairs rather than hash digests, so there are no collision
-false-negatives. Labels are assigned canonically (sorted key order), which
-makes colorings comparable across graphs when the dictionary is shared.
+Relabeling ranks exact (old color, sorted neighbor color multiset) keys
+rather than hash digests, so there are no collision false-negatives. Labels
+are assigned canonically (sorted key order), which makes colorings comparable
+across graphs refined in one joint step.
 """
 
 from __future__ import annotations
@@ -34,48 +34,65 @@ class WLColoring:
         return len(set(self.colors[-1]))
 
 
-def _initial_colors(g: Graph, init: str) -> list[int]:
+def _initial_colors(g: Graph, init: str) -> np.ndarray:
     if init == "uniform":
-        return [0] * g.n
+        return np.zeros(g.n, dtype=np.int64)
     if init == "degree":
-        degs = g.degrees.astype(int).tolist()
-        ranks = {d: i for i, d in enumerate(sorted(set(degs)))}
-        return [ranks[d] for d in degs]
+        return np.unique(g.degrees, return_inverse=True)[1].astype(np.int64)
     raise ValueError(f"unknown init {init!r}; use 'uniform' or 'degree'")
 
 
-def _refine_step(colorings: list[list[int]], neighbor_lists: list[list[list[int]]]):
+def _refine_step(colorings: list[np.ndarray], neighbor_lists: list[np.ndarray]):
     """One joint refinement round over any number of graphs.
 
-    Returns the new colorings (dense canonical labels shared across graphs)
-    and whether any partition changed.
+    Each node's key row is its color, then its sorted neighbor colors padded
+    with -1 to a common width. Padding after the colors sorts a shorter
+    multiset first, as Python orders tuples, so ranking the distinct rows
+    gives the canonical labels of the (color, sorted neighbor colors) keys.
+    Returns the new colorings (dense labels shared across graphs) and whether
+    any partition changed.
     """
-    keys_per_graph = []
+    width = max(nbrs.shape[1] for nbrs in neighbor_lists)
+    rows = []
     for colors, nbrs in zip(colorings, neighbor_lists):
-        keys_per_graph.append(
-            [(colors[v], tuple(sorted(colors[u] for u in nbrs[v]))) for v in range(len(colors))]
-        )
-    table = {key: i for i, key in enumerate(sorted({k for ks in keys_per_graph for k in ks}))}
-    new_colorings = [[table[k] for k in ks] for ks in keys_per_graph]
+        row = np.full((len(colors), 1 + width), -1, dtype=np.int64)
+        row[:, 0] = colors
+        # index -1 reads the appended sentinel, which sorts after every color
+        nbr_colors = np.sort(np.append(colors, np.iinfo(np.int64).max)[nbrs], axis=1)
+        nbr_colors[nbrs < 0] = -1
+        row[:, 1 : 1 + nbrs.shape[1]] = nbr_colors
+        rows.append(row)
+    keys = np.concatenate(rows)
+    order = np.lexsort(keys.T[::-1])
+    ranked = keys[order]
+    starts = np.ones(len(keys), dtype=bool)
+    starts[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    labels = np.empty(len(keys), dtype=np.int64)
+    labels[order] = np.cumsum(starts) - 1
     # new colors are functions of old colors, so partitions only refine; a
-    # round changes nothing iff the joint class count is unchanged
-    old_classes = len({c for cs in colorings for c in cs})
-    return new_colorings, len(table) != old_classes
+    # round changes something iff a new label starts inside an old color
+    changed = bool(np.any(starts[1:] & (ranked[1:, 0] == ranked[:-1, 0])))
+    return np.split(labels, np.cumsum([len(c) for c in colorings])[:-1]), changed
 
 
-def _neighbor_lists(g: Graph) -> list[list[int]]:
-    return [g.neighbors(v).tolist() for v in range(g.n)]
+def _neighbor_lists(g: Graph) -> np.ndarray:
+    """n x (max degree) neighbor indices, each row left-packed and padded with -1."""
+    rows, cols = np.nonzero(g.adjacency)
+    deg = np.bincount(rows, minlength=g.n)
+    out = np.full((g.n, deg.max(initial=0)), -1, dtype=np.int64)
+    out[rows, np.arange(len(rows)) - np.repeat(np.cumsum(deg) - deg, deg)] = cols
+    return out
 
 
 def wl_refine(g: Graph, init: str = "uniform") -> WLColoring:
     """Run color refinement to stability on a single graph."""
     nbrs = _neighbor_lists(g)
     colors = _initial_colors(g, init)
-    history = [tuple(colors)]
+    history = [tuple(colors.tolist())]
     stable_at = g.n
     for step in range(1, g.n + 1):
         (colors,), changed = _refine_step([colors], [nbrs])
-        history.append(tuple(colors))
+        history.append(tuple(colors.tolist()))
         if not changed:
             stable_at = step
             break
@@ -85,9 +102,9 @@ def wl_refine(g: Graph, init: str = "uniform") -> WLColoring:
 def wl_distinguish(g1: Graph, g2: Graph, init: str = "uniform") -> str:
     """Joint refinement verdict: "distinguished" or "indistinguishable".
 
-    The relabeling dictionary is shared between the two graphs so color
-    identifiers are directly comparable; the verdict compares the sorted
-    final color multisets.
+    The relabeling is shared between the two graphs so color identifiers are
+    directly comparable; the verdict compares the sorted final color
+    multisets.
     """
     if g1.n != g2.n:
         return "distinguished"
@@ -97,8 +114,8 @@ def wl_distinguish(g1: Graph, g2: Graph, init: str = "uniform") -> str:
         colorings, changed = _refine_step(colorings, nbrs)
         if not changed:
             break
-    sig1, sig2 = (tuple(sorted(cs)) for cs in colorings)
-    return "indistinguishable" if sig1 == sig2 else "distinguished"
+    sig1, sig2 = (np.sort(cs) for cs in colorings)
+    return "indistinguishable" if np.array_equal(sig1, sig2) else "distinguished"
 
 
 def wl_feature_matrix(g: Graph, depth: int) -> np.ndarray:

@@ -88,6 +88,22 @@ def test_discriminate_bad_tolerance_is_a_usage_error(capsys, tol):
     assert "error:" in err and "tolerance" in err
 
 
+@pytest.mark.parametrize("tol", ["0", "-1", "nan"])
+def test_discriminate_csv_bad_tolerance_is_a_usage_error(capsys, tol):
+    code, out, err = run(capsys, "discriminate", "prism", "k33", "--tol", tol, "--format", "csv")
+    assert code == 2
+    assert "error:" in err and "tolerance" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("tol", ["0", "-1", "nan"])
+def test_spectral_bad_tolerance_is_a_usage_error(capsys, tol):
+    code, out, err = run(capsys, "spectral", "prism", "prism", "--tol", tol)
+    assert code == 2
+    assert "error:" in err and "tolerance" in err
+    assert "witness" not in out
+
+
 def test_discriminate_filter_flag(capsys):
     code, out, _ = run(capsys, "discriminate", "prism", "k33", "--filter", "10,1,-0.5", "--sigma", "linear")
     assert code == 0

@@ -154,6 +154,12 @@ def test_discriminate_condition_depth_must_be_positive(prism, k33, count_calls):
     assert len(calls) == 0  # rejected before any work
 
 
+@pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
+def test_pair_config_rejects_bad_tolerance(tol):
+    with pytest.raises(ValueError, match="tolerance"):
+        PairConfig(tol=tol)
+
+
 def test_report_json_roundtrip(prism, k33):
     for config in (PairConfig(), PairConfig(check_conditions=True)):
         report = discriminate_pair(prism, k33, config)

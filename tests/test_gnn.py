@@ -135,6 +135,34 @@ def test_diag_powers_match_walk_oracle_small():
                 assert x[v, k] == closed_walk_count(g, v, k)
 
 
+def _sequential_diag_powers(g, depth):
+    """Reference ladder: diag of S^0, S^1, ... by one product per power."""
+    out = np.empty((g.n, depth))
+    p = np.eye(g.n)
+    for k in range(depth):
+        out[:, k] = np.diag(p)
+        p = p @ g.adjacency
+    return out
+
+
+def test_diag_powers_half_power_ladder_is_exact():
+    # integer walk counts below 2^53 are exact in any summation order
+    rng = np.random.default_rng(43)
+    graphs = [e.graph for e in corpus()] + [erdos_renyi(n, 8 / n, rng) for n in (50, 300)]
+    for g in graphs:
+        ref = _sequential_diag_powers(g, 12)
+        for depth in range(1, 13):
+            np.testing.assert_array_equal(diag_powers(g, depth), ref[:, :depth])
+
+
+def test_diag_powers_half_power_ladder_past_2_53():
+    # dense counts pass 2^53 and are rounded; only the rounding may differ
+    g = erdos_renyi(200, 0.5, np.random.default_rng(47))
+    ref = _sequential_diag_powers(g, 11)
+    assert ref.max() > 2.0**53
+    np.testing.assert_allclose(diag_powers(g, 11), ref, rtol=1e-13, atol=0)
+
+
 def test_diagonal_module_reference_outputs(prism, k33, bihexagon, bipentagon):
     np.testing.assert_allclose(
         diagonal_module(prism, PAIR_FILTER, RELU), 10 + 25 / 60, atol=1e-12

@@ -136,6 +136,17 @@ def test_spectra_differ_size_mismatch_is_witness(prism):
     assert spectra_differ(eigendecompose(prism), eigendecompose(p3)) == spectra_differ(prism, p3)
 
 
+@pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
+def test_spectral_matching_rejects_bad_tolerance(prism, tol):
+    # with no tolerance check, no group matches and a graph separates from itself
+    with pytest.raises(ValueError, match="tolerance"):
+        spectra_differ(prism, prism, tol)
+    with pytest.raises(ValueError, match="tolerance"):
+        check_separability_conditions(prism, prism, np.ones(6), np.ones(6) * 2, tol)
+    with pytest.raises(ValueError, match="tolerance"):
+        eigenspace(eigendecompose(prism), 3.0, tol)
+
+
 def test_eigenspace_perron(prism):
     space = eigenspace(eigendecompose(prism), 3.0)
     assert space.basis.shape == (6, 1)

@@ -4,6 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spectrawl import (
+    Graph,
+    Permutation,
     apply_permutation,
     erdos_renyi,
     from_edge_list,
@@ -12,6 +14,7 @@ from spectrawl import (
     wl_feature_matrix,
     wl_refine,
 )
+from spectrawl import wl
 
 from conftest import random_graph_pairs
 
@@ -110,3 +113,106 @@ def test_feature_matrix_equivariant():
 def test_feature_matrix_depth_validation(prism):
     with pytest.raises(ValueError):
         wl_feature_matrix(prism, 0)
+
+
+# Dict-keyed refinement, kept as the oracle for the array-keyed step: keys are
+# (color, sorted neighbor color tuple), labels their rank in sorted order.
+def _oracle_init(g, init):
+    if init == "uniform":
+        return [0] * g.n
+    degs = g.degrees.astype(int).tolist()
+    ranks = {d: i for i, d in enumerate(sorted(set(degs)))}
+    return [ranks[d] for d in degs]
+
+
+def _oracle_step(colorings, neighbor_lists):
+    keys_per_graph = [
+        [(colors[v], tuple(sorted(colors[u] for u in nbrs[v]))) for v in range(len(colors))]
+        for colors, nbrs in zip(colorings, neighbor_lists)
+    ]
+    table = {key: i for i, key in enumerate(sorted({k for ks in keys_per_graph for k in ks}))}
+    new_colorings = [[table[k] for k in ks] for ks in keys_per_graph]
+    old_classes = len({c for cs in colorings for c in cs})
+    return new_colorings, len(table) != old_classes
+
+
+def _oracle_nbrs(g):
+    return [g.neighbors(v).tolist() for v in range(g.n)]
+
+
+def _oracle_refine(g, init):
+    nbrs = _oracle_nbrs(g)
+    colors = _oracle_init(g, init)
+    history = [tuple(colors)]
+    stable_at = g.n
+    for step in range(1, g.n + 1):
+        (colors,), changed = _oracle_step([colors], [nbrs])
+        history.append(tuple(colors))
+        if not changed:
+            stable_at = step
+            break
+    return tuple(history), stable_at, tuple(sorted(history[-1]))
+
+
+def _oracle_distinguish(g1, g2, init):
+    if g1.n != g2.n:
+        return "distinguished"
+    colorings = [_oracle_init(g1, init), _oracle_init(g2, init)]
+    nbrs = [_oracle_nbrs(g1), _oracle_nbrs(g2)]
+    for _ in range(g1.n + g2.n + 1):
+        colorings, changed = _oracle_step(colorings, nbrs)
+        if not changed:
+            break
+    sig1, sig2 = (tuple(sorted(cs)) for cs in colorings)
+    return "indistinguishable" if sig1 == sig2 else "distinguished"
+
+
+def _oracle_cases():
+    rng = np.random.default_rng(53)
+    special = [
+        Graph(1, np.zeros((1, 1))),
+        Graph(5, np.zeros((5, 5))),  # edgeless
+        from_edge_list(6, [(i, j) for i in range(6) for j in range(i + 1, 6)]),  # complete
+        from_edge_list(7, [(0, j) for j in range(1, 7)]),  # star
+        from_edge_list(9, [(0, 1), (1, 2), (3, 4), (5, 6), (6, 7), (7, 5)]),  # disconnected
+    ]
+    graphs = special + [
+        erdos_renyi(int(rng.integers(2, 40)), float(rng.uniform(0.05, 0.6)), rng) for _ in range(100)
+    ]
+    # relabeled copies make indistinguishable pairs, neighbors in the list mostly distinguished ones
+    pairs = [(g, apply_permutation(g, Permutation.random(g.n, rng))) for g in graphs]
+    pairs += list(zip(graphs, graphs[1:]))
+    return graphs, pairs
+
+
+def test_refine_matches_dict_keyed_oracle():
+    graphs, _ = _oracle_cases()
+    for g in graphs:
+        for init in ("uniform", "degree"):
+            coloring = wl_refine(g, init)
+            assert (coloring.colors, coloring.stable_at, coloring.signature) == _oracle_refine(g, init)
+
+
+def test_distinguish_matches_dict_keyed_oracle():
+    _, pairs = _oracle_cases()
+    verdicts = []
+    for g1, g2 in pairs:
+        for init in ("uniform", "degree"):
+            verdict = wl_distinguish(g1, g2, init)
+            assert verdict == _oracle_distinguish(g1, g2, init)
+            verdicts.append(verdict)
+    assert {"distinguished", "indistinguishable"} <= set(verdicts)
+
+
+def test_joint_step_matches_oracle_across_sizes():
+    # graphs of different sizes and maximum degrees share one relabeling
+    graphs, _ = _oracle_cases()
+    for group in (graphs[:5], graphs[5:12], graphs[12:40:3]):
+        colorings = [wl._initial_colors(g, "degree") for g in group]
+        expected = [_oracle_init(g, "degree") for g in group]
+        nbrs = [wl._neighbor_lists(g) for g in group]
+        for _ in range(4):
+            colorings, changed = wl._refine_step(colorings, nbrs)
+            expected, expected_changed = _oracle_step(expected, [_oracle_nbrs(g) for g in group])
+            assert [c.tolist() for c in colorings] == expected
+            assert changed == expected_changed
