@@ -3,7 +3,8 @@
 Subcommands expose the library operations on graphs given as files in the
 edge-list format or as built-in names (prism, k33, bihexagon, bipentagon,
 csl:R). Exit codes: 0 success, 1 failed check or unseparated pair, 2 usage
-or I/O error.
+or I/O error, or an eigensolver failure (spectral.ConvergenceFailure), which
+says nothing about the pair.
 """
 
 from __future__ import annotations
@@ -99,36 +100,35 @@ def cmd_wl(args, cfg: dict) -> int:
     g1 = resolve_graph(args.graph)
     if args.graph2 is None:
         coloring = wl.wl_refine(g1, init=args.init)
-        print(f"graph: {g1.name or args.graph} (n={g1.n})")
-        for t, colors in enumerate(coloring.colors):
-            print(f"iteration {t}: {list(colors)}")
-        print(f"stable_at: {coloring.stable_at}")
-        print(f"classes: {coloring.num_classes}")
+        lines = [f"graph: {g1.name or args.graph} (n={g1.n})"]
+        lines += [f"iteration {t}: {list(colors)}" for t, colors in enumerate(coloring.colors)]
+        lines += [f"stable_at: {coloring.stable_at}", f"classes: {coloring.num_classes}"]
+        _emit("\n".join(lines), args.out or cfg.get("out"))
         return 0
     g2 = resolve_graph(args.graph2)
     verdict = wl.wl_distinguish(g1, g2, init=args.init)
-    print(verdict)
+    _emit(verdict, args.out or cfg.get("out"))
     return 0 if verdict == "distinguished" else 1
 
 
 def cmd_spectral(args, cfg: dict) -> int:
     g1 = resolve_graph(args.graph)
     s1 = spectral.eigendecompose(g1)
-    print(f"graph: {g1.name or args.graph} (n={g1.n})")
-    print("grouped spectrum (value x multiplicity):")
-    for grp in s1.groups:
-        print(f"  {_fmt(grp.value)} x {grp.multiplicity}")
-    print(f"|u^T 1|: {_fmt_vec(spectral.eigenvector_one_products(s1))}")
-    if args.graph2 is None:
-        return 0
-    g2 = resolve_graph(args.graph2)
-    tol = float(_setting(args, cfg, "tol", 1e-6))
-    witness = spectral.spectra_differ(s1, g2, tol)
-    if witness is None:
-        print("spectra match: no witness")
-        return 1
-    print(f"witness eigenvalue: {_fmt(witness)}")
-    return 0
+    lines = [f"graph: {g1.name or args.graph} (n={g1.n})", "grouped spectrum (value x multiplicity):"]
+    lines += [f"  {_fmt(grp.value)} x {grp.multiplicity}" for grp in s1.groups]
+    lines.append(f"|u^T 1|: {_fmt_vec(spectral.eigenvector_one_products(s1))}")
+    code = 0
+    if args.graph2 is not None:
+        g2 = resolve_graph(args.graph2)
+        tol = float(_setting(args, cfg, "tol", 1e-6))
+        witness = spectral.spectra_differ(s1, g2, tol)
+        if witness is None:
+            lines.append("spectra match: no witness")
+            code = 1
+        else:
+            lines.append(f"witness eigenvalue: {_fmt(witness)}")
+    _emit("\n".join(lines), args.out or cfg.get("out"))
+    return code
 
 
 def cmd_features(args, cfg: dict) -> int:
@@ -148,6 +148,9 @@ def cmd_discriminate(args, cfg: dict) -> int:
     fmt = _setting(args, cfg, "format", "json")
     if fmt == "csv":
         summary = discriminate.run_benchmark([(g1, g2)], config)
+        if summary.rows[0].error is not None:  # a failure, not an unseparated pair
+            print(f"error: {summary.rows[0].error}", file=sys.stderr)
+            return 2
         _emit(summary.to_csv(), args.out or cfg.get("out"))
         return 0 if summary.rows[0].overall == "separable" else 1
     report = discriminate.discriminate_pair(g1, g2, config)
@@ -203,13 +206,16 @@ def cmd_stochastic(args, cfg: dict) -> int:
     )
     estimate, stderr = gnn.stochastic_variance(g, h, scfg)
     closed = gnn.diagonal_module(g, gnn.self_convolve(h, scfg.variance), gnn.LINEAR)
-    print(f"graph: {g.name or args.graph}  samples: {scfg.samples}  "
-          f"distribution: {scfg.distribution}  seed: {scfg.seed}")
-    print(f"monte-carlo: {_fmt_vec(estimate)}")
-    print(f"stderr:      {_fmt_vec(stderr)}")
-    print(f"closed form: {_fmt_vec(closed)}")
     worst = float(np.max(np.abs(estimate - closed) / np.maximum(stderr, 1e-300)))
-    print(f"worst deviation: {worst:.3f} standard errors")
+    lines = [
+        f"graph: {g.name or args.graph}  samples: {scfg.samples}  "
+        f"distribution: {scfg.distribution}  seed: {scfg.seed}",
+        f"monte-carlo: {_fmt_vec(estimate)}",
+        f"stderr:      {_fmt_vec(stderr)}",
+        f"closed form: {_fmt_vec(closed)}",
+        f"worst deviation: {worst:.3f} standard errors",
+    ]
+    _emit("\n".join(lines), args.out or cfg.get("out"))
     return 0 if worst <= 3.0 else 1
 
 
@@ -225,7 +231,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("graph", help="corpus name, csl:R, or edge-list file")
         if pair:
             p.add_argument("graph2", nargs="?", help="optional second graph")
-        p.add_argument("--tol", type=float, default=None)
         p.add_argument("--out", default=None)
 
     p = sub.add_parser("wl", help="color refinement history or pair verdict")
@@ -235,6 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("spectral", help="grouped spectrum, |u^T 1|, pair witness")
     add_common(p, pair=True)
+    p.add_argument("--tol", type=float, default=None)
     p.set_defaults(func=cmd_spectral)
 
     p = sub.add_parser("features", help="closed-walk feature matrix as CSV")
@@ -283,7 +289,7 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config)
         return args.func(args, cfg)
-    except (GraphError, OSError, json.JSONDecodeError, ValueError) as exc:
+    except (GraphError, OSError, json.JSONDecodeError, ValueError, spectral.ConvergenceFailure) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

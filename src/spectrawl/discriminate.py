@@ -123,18 +123,25 @@ def discriminate_pair(g1: Graph, g2: Graph, config: PairConfig = PairConfig()) -
 
     overall is "separable" iff at least one method separates the pair; an
     inconclusive report never implies the graphs are isomorphic. Each graph's
-    spectrum and walk counts are computed once and shared by every mechanism.
+    walk counts and spectrum are computed once and shared by every mechanism.
+
+    The spectrum is built values-first: eigenvalues from eigvalsh, checked
+    against the walk counts by sum_i lambda_i^k = sum_v diag(S^k)_v (a
+    spectral.ConvergenceFailure when they disagree beyond rounding).
+    Eigenvectors are formed only for the groups that conditions 2 and 3
+    visit, so the default path and relabeled pairs form none.
     """
     if config.check_conditions and config.condition_depth < 1:
         raise ValueError("depth must be >= 1")
     wl_verdict = wl.wl_distinguish(g1, g2)
 
-    s1, s2 = spectral.eigendecompose(g1), spectral.eigendecompose(g2)
+    depth = max(len(config.filter), config.condition_depth if config.check_conditions else 0)
+    x1, x2 = gnn.diag_powers(g1, depth), gnn.diag_powers(g2, depth)
+
+    s1, s2 = spectral._values_first(g1, x1), spectral._values_first(g2, x2)
     witness = spectral.spectra_differ(s1, s2, config.tol)
     spectral_verdict = "separable" if witness is not None else "inconclusive"
 
-    depth = max(len(config.filter), config.condition_depth if config.check_conditions else 0)
-    x1, x2 = gnn.diag_powers(g1, depth), gnn.diag_powers(g2, depth)
     y1 = gnn._walk_readout(x1, config.filter, config.sigma)
     y2 = gnn._walk_readout(x2, config.filter, config.sigma)
     diag_same = embeddings_isomorphic(y1, y2, config.tol)

@@ -2,6 +2,8 @@
 
 A `Spectrum` carries eigenvalues sorted ascending, an orthonormal eigenvector
 matrix, and the partition of eigenvalue indices into near-degenerate groups.
+`eigendecompose` builds it eagerly; `discriminate_pair` builds it values-first
+and forms eigenvectors only for the groups its condition test visits.
 On top of that this module builds the separability machinery: grouped-spectrum
 comparison, the three-condition feature test, eigenvalue-isolating polynomial
 filters, and the absolute-eigenvector test for equal simple spectra.
@@ -13,7 +15,7 @@ a norm, or a quadratic form, so signs never leak into results.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -55,9 +57,19 @@ class EigenGroup:
 
 @dataclass(frozen=True, eq=False)
 class Spectrum:
+    """Eigenvalues, eigenvectors and eigenvalue groups of one graph.
+
+    `eigendecompose` fills every field. A values-first spectrum (built inside
+    `discriminate_pair`) starts with eigenvectors None and keeps its graph:
+    each group's basis is then formed on first request and cached, and a
+    fallback to one full `eigendecompose` fills eigenvectors in.
+    """
+
     eigenvalues: np.ndarray      # ascending, length n
-    eigenvectors: np.ndarray     # orthogonal, column i pairs with eigenvalue i
+    eigenvectors: np.ndarray | None  # orthogonal, column i pairs with eigenvalue i; None: not formed
     groups: tuple[EigenGroup, ...]
+    _graph: Graph | None = field(default=None, repr=False)
+    _bases: dict = field(default_factory=dict, repr=False)  # group indices -> basis
 
     @property
     def n(self) -> int:
@@ -134,6 +146,125 @@ def _spectrum(g: Graph | Spectrum) -> Spectrum:
     return g if isinstance(g, Spectrum) else eigendecompose(g)
 
 
+def _values_first(g: Graph, walks: np.ndarray) -> Spectrum:
+    """Spectrum of g from eigvalsh alone, checked against g's closed-walk counts.
+
+    walks holds diag(S^k) in column k, as `gnn.diag_powers` returns it. The
+    eigenvalues are checked by the trace identity sum_i lambda_i^k = trace(S^k)
+    = sum_v walks[v, k] instead of the residual and orthogonality checks of
+    `eigendecompose`, which need eigenvectors. Eigenvectors are formed per
+    group on request, by `_group_basis`.
+    """
+    s = g.adjacency
+    try:
+        w = np.linalg.eigvalsh(s)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceFailure(str(exc)) from exc
+    # a ladder shorter than 3 is replaced by the O(n^2) traces of S^0, S^1 and
+    # S^2 (n, trace S, ||S||_F^2 = 2m), so that a short filter still checks something
+    traces = walks.sum(axis=0) if walks.shape[1] >= 3 else np.array([g.n, np.trace(s), np.vdot(s, s)])
+    _check_power_sums(w, traces, walks.shape[1])
+    w.flags.writeable = False
+    return Spectrum(w, None, _group_indices(w, default_group_tol(w)), g)
+
+
+def _check_power_sums(w: np.ndarray, traces: np.ndarray, depth: int) -> None:
+    """Raise ConvergenceFailure unless |p_k - t_k| <= b_k for every k < len(traces).
+
+    p_k = sum_i w_i^k and t_k = traces[k] = trace(S^k). eigvalsh is backward
+    stable, so by Weyl each computed eigenvalue is within about n eps r of an
+    exact one (r = max(1, max |w|)), which moves p_k by at most
+    n eps r sum_i k |w_i|^(k-1) to first order. Forming the powers and the
+    two sums, and a walk ladder of depth K that rounds past 2^53, add at most
+    (n + K) eps (sum_i |w_i|^k + |t_k|). b_k is the sum of the two terms.
+    """
+    n, eps = len(w), np.finfo(np.float64).eps
+    r = max(1.0, float(np.max(np.abs(w))))
+    ks = np.arange(len(traces))
+    powers = w[None, :] ** ks[:, None]
+    abs_sums = np.abs(powers).sum(axis=1)
+    slopes = np.concatenate(([0.0], ks[1:] * abs_sums[:-1]))
+    bound = n * eps * r * slopes + (n + depth) * eps * (abs_sums + np.abs(traces))
+    err = np.abs(powers.sum(axis=1) - traces)
+    if np.any(~(err <= bound)):
+        k = int(np.argmax(err - bound))
+        raise ConvergenceFailure(
+            f"eigenvalue power sum p_{k} off trace(S^{k}) by {err[k]:.3e} (bound {bound[k]:.3e})"
+        )
+
+
+#: groups one values-first spectrum forms by inverse iteration; one more
+#: request costs about one full eigendecompose, so that is made instead
+_MAX_SOLVED_GROUPS = 4
+
+
+def _group_basis(s: Spectrum, grp: EigenGroup) -> np.ndarray:
+    """Orthonormal (n, multiplicity) basis of grp's eigenspace in s.
+
+    Sliced from s.eigenvectors when s holds them. A values-first spectrum
+    forms a group's basis by `_inverse_iteration` on first request and
+    caches it; when that fails its check, or more than _MAX_SOLVED_GROUPS
+    groups are asked for, the graph is decomposed once in full instead.
+    """
+    if s.eigenvectors is None:
+        if grp.indices in s._bases:
+            return s._bases[grp.indices]
+        basis = _inverse_iteration(s, grp) if len(s._bases) < _MAX_SOLVED_GROUPS else None
+        if basis is not None:
+            s._bases[grp.indices] = basis
+            return basis
+        # frozen only against callers: the fallback fills the field once
+        object.__setattr__(s, "eigenvectors", eigendecompose(s._graph).eigenvectors)
+    return s.eigenvectors[:, list(grp.indices)]
+
+
+def _inverse_iteration(s: Spectrum, grp: EigenGroup) -> np.ndarray | None:
+    """grp's eigenspace by shifted inverse iteration, or None when it fails `_block_ok`.
+
+    Two solves of (S - sigma I) Y = X, each followed by a QR, starting from a
+    block of multiplicity-many seeded random columns (Parlett, The Symmetric
+    Eigenvalue Problem, ch. 4). sigma sits 1e-10 r off the group's value,
+    since an integer eigenvalue makes S - lambda I exactly singular. After
+    one solve an eigendirection at distance gap is still mixed in at about
+    1e-10 r / gap; a residual check cannot see that (the residual is the mix
+    times gap), so the second solve always runs and squares the mix away.
+    """
+    a = s._graph.adjacency
+    r = max(1.0, float(np.max(np.abs(s.eigenvalues))))
+    shifted = a.copy()
+    shifted[np.diag_indices(s.n)] -= grp.value + 1e-10 * r
+    q = np.random.default_rng(0).standard_normal((s.n, grp.multiplicity))
+    try:
+        for _ in range(2):
+            q = np.linalg.qr(np.linalg.solve(shifted, q))[0]
+    except np.linalg.LinAlgError:
+        return None
+    return q if _block_ok(s, grp, q) else None
+
+
+def _block_ok(s: Spectrum, grp: EigenGroup, q: np.ndarray) -> bool:
+    """q passes `eigendecompose`'s residual and orthogonality bounds, and spans grp's eigenvalues.
+
+    The residual is the block residual S q - q (q^T S q), so eigenvalues split
+    inside the group do not count against it; the eigenvalues of q^T S q must
+    lie within the grouping tolerance of the group's range.
+    """
+    a = s._graph.adjacency
+    aq = a @ q
+    ritz = q.T @ aq
+    resid = np.linalg.norm(aq - q @ ritz, axis=0)
+    orth = np.max(np.abs(q.T @ q - np.eye(q.shape[1])))
+    tol = default_group_tol(s.eigenvalues)
+    lo, hi = s.eigenvalues[grp.indices[0]] - tol, s.eigenvalues[grp.indices[-1]] + tol
+    mu = np.linalg.eigvalsh(ritz)
+    return bool(
+        resid.max() <= EPS_RESID * max(np.linalg.norm(a), 1.0)
+        and orth <= EPS_ORTH
+        and lo <= mu[0]
+        and mu[-1] <= hi
+    )
+
+
 def eigenvector_one_products(s: Spectrum) -> np.ndarray:
     """|u_i^T 1| per eigenvector, in eigenvalue order.
 
@@ -184,7 +315,7 @@ def eigenspace(s: Spectrum, value: float, tol: float = 1e-6) -> Eigenspace:
     grp = s.find_group(value, tol)
     if grp is None:
         raise NoSuchEigenvalueError(f"no eigenvalue within {tol} of {value}")
-    return Eigenspace(grp.value, s.eigenvectors[:, list(grp.indices)])
+    return Eigenspace(grp.value, _group_basis(s, grp))
 
 
 @dataclass(frozen=True)
@@ -240,6 +371,9 @@ def check_separability_conditions(
     3. some shared eigenvalue has different multiplicities and a feature
        component outside the shared part of the two eigenspaces.
     A Spectrum may stand for its graph, which then is not decomposed again.
+    Eigenvectors are read only for the groups conditions 2 and 3 visit, so a
+    values-first Spectrum forms only those (condition 2 stops at its first
+    witness).
     """
     x1, x2 = _as_rows(x1), _as_rows(x2)
     if x1.shape[0] != g1.n or x2.shape[0] != g2.n:
@@ -256,7 +390,7 @@ def check_separability_conditions(
     for grp, other in unmatched:
         if other is not None:
             continue
-        v = s1.eigenvectors[:, list(grp.indices)]
+        v = _group_basis(s1, grp)
         weight = float(np.linalg.norm(x1.T @ v))
         if weight > tol:
             cond2 = (grp.value, weight)
@@ -267,8 +401,7 @@ def check_separability_conditions(
         for grp, other in unmatched:
             if other is None:
                 continue
-            v1 = s1.eigenvectors[:, list(grp.indices)]
-            v2 = s2.eigenvectors[:, list(other.indices)]
+            v1, v2 = _group_basis(s1, grp), _group_basis(s2, other)
             # split off the shared subspace: singular value ~1 in V1^T V2 marks
             # a common direction. They descend, so the first r are shared; the
             # rest are copied out by mask, as a strided slice can move the last bit

@@ -1,5 +1,10 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from spectrawl import corpus_graph, save_graph
@@ -185,3 +190,59 @@ def test_output_file(capsys, tmp_path):
     code, _, _ = run(capsys, "discriminate", "prism", "k33", "--out", str(out_path))
     assert code == 0
     assert json.loads(out_path.read_text())["overall"] == "separable"
+
+
+def _raise_linalg_error(s):
+    raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+
+def _moved_eigenvalue(s, eigvalsh=np.linalg.eigvalsh):
+    w = eigvalsh(s)
+    w[0] += 1e-3
+    return w
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("eigvalsh", [_raise_linalg_error, _moved_eigenvalue])
+def test_discriminate_eigensolver_failure_is_not_a_verdict(capsys, monkeypatch, eigvalsh, fmt):
+    # exit 1 would read as "inconclusive pair"; a numerical failure says nothing about the pair
+    monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+    code, out, err = run(capsys, "discriminate", "prism", "k33", "--format", fmt)
+    assert code == 2
+    assert err.startswith("error:")
+    assert out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("wl", "prism"),
+        ("wl", "prism", "k33"),
+        ("spectral", "prism"),
+        ("spectral", "prism", "k33"),
+        ("stochastic", "prism", "--samples", "2000"),
+    ],
+)
+def test_out_flag_writes_what_stdout_would_show(capsys, tmp_path, argv):
+    code, out, _ = run(capsys, *argv)
+    path = tmp_path / "out.txt"
+    code_to_file, out_to_file, _ = run(capsys, *argv, "--out", str(path))
+    assert (code_to_file, out_to_file) == (code, "")
+    assert path.read_text() == out
+
+
+@pytest.mark.parametrize("argv", [("wl", "prism"), ("features", "prism")])
+def test_tol_is_rejected_where_it_means_nothing(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--tol", "5"])
+    assert exc.value.code == 2
+    assert "--tol" in capsys.readouterr().err
+
+
+def test_import_loads_no_undeclared_dependency():
+    # numpy is the one declared dependency; scipy and networkx are often installed
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    code = "import sys, spectrawl; print(sorted({'scipy', 'networkx'} & {m.split('.')[0] for m in sys.modules}))"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "[]"

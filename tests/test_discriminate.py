@@ -24,6 +24,7 @@ from spectrawl import (
     eigendecompose,
     embeddings_isomorphic,
     erdos_renyi,
+    from_edge_list,
     gnn_layer,
     is_isomorphic_bruteforce,
     run_benchmark,
@@ -40,7 +41,7 @@ from spectrawl.discriminate import (
     selector_diag_layer,
 )
 
-from conftest import random_graph_pairs
+from conftest import assert_conditions_agree, random_graph_pairs
 
 # class scores frozen from an independent recomputation via circulant
 # eigenvalue traces: sum_k h_k sum_j lambda_j^k / 1e3
@@ -129,22 +130,65 @@ def test_discriminate_with_condition_check(prism, k33):
 
 def test_discriminate_pair_computes_spectrum_and_walks_once(count_calls, prism, k33):
     eig = count_calls(spectral, "eigendecompose")
+    values = count_calls(spectral, "_values_first")
     walks = count_calls(gnn, "diag_powers")
     discriminate_pair(prism, k33, PairConfig(check_conditions=True))
-    assert len(eig) == 2
+    assert len(eig) == 0  # values-first: no full decomposition
+    assert [args[0] for args in values] == [prism, k33]
     assert [args[1] for args in walks] == [10, 10]  # max(len(filter), condition_depth)
+    assert [v[1].shape for v in values] == [(6, 10), (6, 10)]  # checked against that ladder
+
+
+def test_discriminate_relabeled_pair_forms_no_eigenvectors(count_calls, prism):
+    eig = count_calls(spectral, "eigendecompose")
+    solves = count_calls(np.linalg, "solve")
+    relabeled = apply_permutation(prism, Permutation((3, 5, 0, 4, 1, 2)))
+    report = discriminate_pair(prism, relabeled, PairConfig(check_conditions=True))
+    assert report.overall == "inconclusive"
+    assert len(eig) == 0 and len(solves) == 0
+
+
+def _walks_and_spectra(g1, g2, depth):
+    w1, w2 = diag_powers(g1, depth), diag_powers(g2, depth)
+    return w1, w2, spectral._values_first(g1, w1), spectral._values_first(g2, w2)
 
 
 def test_discriminate_shared_walks_match_standalone_mechanisms(bihexagon, bipentagon):
     for depth in (3, 10):
         config = PairConfig(check_conditions=True, condition_depth=depth)
         report = discriminate_pair(bihexagon, bipentagon, config)
+        w1, w2, s1, s2 = _walks_and_spectra(bihexagon, bipentagon, max(len(PAIR_FILTER), depth))
         x1, x2 = diag_powers(bihexagon, depth), diag_powers(bipentagon, depth)
-        assert report.conditions == check_separability_conditions(bihexagon, bipentagon, x1, x2)
+        assert report.conditions == check_separability_conditions(s1, s2, x1, x2)
         assert report.diag_outputs == (
             tuple(diagonal_module(bihexagon, PAIR_FILTER)),
             tuple(diagonal_module(bipentagon, PAIR_FILTER)),
         )
+
+
+def _witness_pairs():
+    """Pairs whose walk features give condition-2 and condition-3 witnesses."""
+    empty4, edge4 = from_edge_list(4, []), from_edge_list(4, [(0, 1)])
+    rng = np.random.default_rng(5)
+    pairs = [(empty4, edge4), (edge4, empty4)]
+    pairs += [(erdos_renyi(30, 0.2, rng), erdos_renyi(30, 0.2, rng)) for _ in range(4)]
+    return pairs + [(corpus_graph("bihexagon"), corpus_graph("bipentagon"))]
+
+
+def test_discriminate_conditions_match_eager_path():
+    # eigvalsh and eigh are different LAPACK drivers: same witnesses, values
+    # within 1e-12 r, weights within 1e-9 relative
+    witnesses = 0
+    for g1, g2 in _witness_pairs():
+        for depth in (1, 3, 10):
+            config = PairConfig(check_conditions=True, condition_depth=depth)
+            lazy = discriminate_pair(g1, g2, config).conditions
+            x1, x2 = diag_powers(g1, depth), diag_powers(g2, depth)
+            eager = check_separability_conditions(g1, g2, x1, x2)
+            r = max(1.0, *(np.abs(eigendecompose(g).eigenvalues).max() for g in (g1, g2)))
+            assert_conditions_agree(lazy, eager, r, abs_tol=1e-12 * max(np.abs(x1).max(), np.abs(x2).max()))
+            witnesses += (lazy.cond2_witness is not None) + (lazy.cond3_witness is not None)
+    assert witnesses >= 15
 
 
 def test_discriminate_condition_depth_must_be_positive(prism, k33, count_calls):

@@ -1,3 +1,7 @@
+import inspect
+import runpy
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -7,10 +11,12 @@ from spectrawl import (
     apply_permutation,
     check_separability_conditions,
     corpus,
+    corpus_graph,
     diag_powers,
     eigendecompose,
     eigenspace,
     eigenvector_one_products,
+    erdos_renyi,
     filter_matrix,
     frequency_response,
     from_edge_list,
@@ -21,9 +27,15 @@ from spectrawl import (
 from spectrawl import spectral
 from spectrawl.discriminate import PAIR_FILTER
 from spectrawl.gnn import DimensionMismatchError
-from spectrawl.spectral import DegenerateNodesError, EigenGroup, NoSuchEigenvalueError, Spectrum
+from spectrawl.spectral import (
+    ConvergenceFailure,
+    DegenerateNodesError,
+    EigenGroup,
+    NoSuchEigenvalueError,
+    Spectrum,
+)
 
-from conftest import random_graph_pairs
+from conftest import assert_conditions_agree, random_graph_pairs
 
 SQRT6 = np.sqrt(6.0)
 
@@ -353,3 +365,112 @@ def _random_edges(n, rng):
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     mask = rng.random(len(pairs)) < 0.45
     return [p for p, keep in zip(pairs, mask) if keep]
+
+
+# ---------------------------------------------------------------------------
+# values-first spectra: eigvalsh checked by the trace identity, vectors on demand
+# ---------------------------------------------------------------------------
+
+
+def _values_first(g, depth=10):
+    return spectral._values_first(g, diag_powers(g, depth))
+
+
+def _trace_check_graphs():
+    return [entry.graph for entry in corpus()] + [erdos_renyi(300, 8 / 300, np.random.default_rng(3))]
+
+
+@pytest.mark.parametrize("g", _trace_check_graphs(), ids=lambda g: f"{g.name or 'gnp'}-{g.n}")
+@pytest.mark.parametrize("depth", [1, 10])
+def test_trace_check_catches_a_moved_eigenvalue(monkeypatch, g, depth):
+    w = np.linalg.eigvalsh(g.adjacency)
+    r = max(1.0, np.abs(w).max())
+    walks = diag_powers(g, depth)
+    spectral._values_first(g, walks)  # the clean values pass
+    for i in (0, g.n // 2, g.n - 1):
+        moved = w.copy()
+        moved[i] += 1e-6 * r
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda s, moved=moved: moved.copy())
+        with pytest.raises(ConvergenceFailure, match="power sum"):
+            spectral._values_first(g, walks)
+
+
+def _benchmark_graphs():
+    """Every graph of perfbench's pair_small and pair_large workloads at seeds 7 and 11."""
+    build = runpy.run_path(str(Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"))["build"]
+    for seed in (7, 11):
+        for name in ("pair_small", "pair_large"):
+            for op in build(name, seed).ops:
+                pair = inspect.getclosurevars(op.run).nonlocals["pair"]
+                yield pair.g1
+                yield pair.g2
+
+
+def test_trace_check_passes_on_benchmark_graphs():
+    count = 0
+    for g in _benchmark_graphs():
+        s = _values_first(g)
+        assert s.eigenvectors is None and len(s.eigenvalues) == g.n
+        count += 1
+    assert count == 2 * 2 * (300 + 8)
+
+
+def test_inverse_iteration_projectors_match_eigendecompose():
+    seen = set()
+    for entry in corpus():
+        lazy, eager = _values_first(entry.graph), eigendecompose(entry.graph)
+        assert [grp.indices for grp in lazy.groups] == [grp.indices for grp in eager.groups]
+        for grp in lazy.groups:
+            q = spectral._inverse_iteration(lazy, grp)
+            v = eager.eigenvectors[:, list(grp.indices)]
+            assert np.max(np.abs(q @ q.T - v @ v.T)) <= 1e-12
+            seen.add((entry.key, round(grp.value, 3), grp.multiplicity))
+    # the degenerate groups, whose shifts sit next to an exactly singular S - lambda I
+    assert {("prism", -2.0, 2), ("prism", 0.0, 2), ("k33", 0.0, 4)} <= seen
+    assert {("bipentagon", -1.618, 2), ("bipentagon", 0.618, 2)} <= seen
+
+
+def test_group_basis_is_cached_then_falls_back_to_one_decomposition(count_calls):
+    g = corpus_graph("bihexagon")  # 10 simple groups
+    s = _values_first(g)
+    solves = count_calls(spectral, "_inverse_iteration")
+    eig = count_calls(spectral, "eigendecompose")
+    first = [spectral._group_basis(s, grp) for grp in s.groups[: spectral._MAX_SOLVED_GROUPS]]
+    assert spectral._group_basis(s, s.groups[0]) is first[0]
+    assert (len(solves), len(eig), s.eigenvectors) == (spectral._MAX_SOLVED_GROUPS, 0, None)
+    spectral._group_basis(s, s.groups[-1])
+    assert (len(solves), len(eig)) == (spectral._MAX_SOLVED_GROUPS, 1)
+    np.testing.assert_array_equal(s.eigenvectors, eigendecompose(g).eigenvectors)
+    for grp in s.groups:
+        spectral._group_basis(s, grp)
+    assert (len(solves), len(eig)) == (spectral._MAX_SOLVED_GROUPS, 1)
+
+
+def _fail_block_check(monkeypatch):
+    monkeypatch.setattr(spectral, "_block_ok", lambda *args: False)
+
+
+def _fail_solve(monkeypatch):
+    def singular(*args):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "solve", singular)
+
+
+@pytest.mark.parametrize("fail", [_fail_block_check, _fail_solve])
+def test_values_first_fallback_gives_the_eager_report(monkeypatch, count_calls, fail):
+    fail(monkeypatch)
+    eig = count_calls(spectral, "eigendecompose")
+    rng = np.random.default_rng(5)
+    empty4, edge4 = from_edge_list(4, []), from_edge_list(4, [(0, 1)])
+    pairs = [(empty4, edge4), (edge4, empty4)]
+    pairs += [(erdos_renyi(30, 0.2, rng), erdos_renyi(30, 0.2, rng)) for _ in range(3)]
+    for g1, g2 in pairs:
+        x1, x2 = diag_powers(g1, 3), diag_powers(g2, 3)
+        calls = len(eig)
+        lazy = check_separability_conditions(_values_first(g1, 3), _values_first(g2, 3), x1, x2)
+        assert len(eig) > calls  # the fallback ran
+        eager = check_separability_conditions(g1, g2, x1, x2)
+        # the fallback's vectors are eigendecompose's: weights are bit-equal
+        r = max(1.0, *(np.abs(eigendecompose(g).eigenvalues).max() for g in (g1, g2)))
+        assert_conditions_agree(lazy, eager, r, rel=0.0)
