@@ -62,6 +62,8 @@ class Graph:
     name: str | None = None
 
     def __post_init__(self):
+        if self.n < 1:
+            raise GraphError(f"node count must be positive, got {self.n}")
         a = np.asarray(self.adjacency, dtype=np.float64)
         if a.shape != (self.n, self.n):
             raise GraphError(f"adjacency shape {a.shape} does not match n={self.n}")

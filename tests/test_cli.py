@@ -146,6 +146,13 @@ def test_stochastic_demo(capsys):
     assert "closed form" in out
 
 
+def test_stochastic_rejects_nan_variance(capsys):
+    code, out, err = run(capsys, "stochastic", "prism", "--variance", "nan")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "variance" in err
+
+
 def test_stochastic_deterministic_output(capsys):
     _, first, _ = run(capsys, "stochastic", "prism", "--samples", "5000", "--seed", "4")
     _, second, _ = run(capsys, "stochastic", "prism", "--samples", "5000", "--seed", "4")

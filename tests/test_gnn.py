@@ -27,7 +27,8 @@ from spectrawl import (
     spectral_diagonal_module,
     stochastic_variance,
 )
-from spectrawl.discriminate import PAIR_FILTER
+from spectrawl import gnn
+from spectrawl.discriminate import PAIR_FILTER, csl_base_graph
 from spectrawl.gnn import DimensionMismatchError
 from spectrawl.graphs import TooLargeError
 
@@ -281,11 +282,61 @@ def test_stochastic_variance_deterministic(prism):
     assert np.array_equal(first[1], second[1])
 
 
-def test_stochastic_variance_matches_closed_form(prism):
-    closed = diagonal_module(prism, self_convolve(PAIR_FILTER, 1.0), LINEAR)
-    cfg = StochasticConfig(samples=200_000, seed=0)
-    estimate, stderr = stochastic_variance(prism, PAIR_FILTER, cfg)
-    assert np.all(np.abs(estimate - closed) <= 4 * stderr)
+def test_stochastic_variance_matches_closed_form(prism, bihexagon):
+    cases = [
+        (prism, StochasticConfig(samples=200_000, seed=0)),
+        (bihexagon, StochasticConfig(variance=2.0, samples=50_000, seed=9, distribution="rademacher")),
+        (csl_base_graph(41, 5), StochasticConfig(variance=2.0, samples=50_000, seed=9, distribution="rademacher")),
+    ]
+    for g, cfg in cases:
+        closed = diagonal_module(g, self_convolve(PAIR_FILTER, cfg.variance), LINEAR)
+        estimate, stderr = stochastic_variance(g, PAIR_FILTER, cfg)
+        assert np.all(np.abs(estimate - closed) <= 4 * stderr)
+
+
+def _horner_variance(g, h, cfg):
+    """stochastic_variance's estimate and stderr from one block of the same
+    Philox stream, filtered by graph_filter's Horner nesting."""
+    rng = np.random.Generator(np.random.Philox(cfg.seed))
+    shape = (cfg.samples, g.n)
+    if cfg.distribution == "gaussian":
+        x = rng.standard_normal(shape)
+    else:
+        x = (rng.integers(0, 2, size=shape) * 2 - 1).astype(np.float64)
+    z2 = graph_filter(g, h, np.sqrt(cfg.variance) * x.T) ** 2
+    m = cfg.samples
+    estimate = z2.sum(axis=1) / m
+    sample_var = (np.sum(z2 * z2, axis=1) - m * estimate**2) / (m - 1)
+    return estimate, np.sqrt(np.maximum(sample_var, 0.0) / m)
+
+
+@pytest.mark.parametrize("distribution", ["gaussian", "rademacher"])
+@pytest.mark.parametrize("h", [PAIR_FILTER, FilterParams((1.0,))], ids=["pair", "one-tap"])
+@pytest.mark.parametrize("name", ["prism", "csl-5"])
+def test_stochastic_variance_matches_horner_path(name, h, distribution):
+    g = corpus_graph(name) if name == "prism" else csl_base_graph(41, 5)
+    # three full sample blocks and a partial one
+    samples = 3 * (gnn._CHUNK_VALUES // g.n) + 7
+    cfg = StochasticConfig(variance=2.0, samples=samples, seed=17, distribution=distribution)
+    estimate, stderr = stochastic_variance(g, h, cfg)
+    ref_estimate, ref_stderr = _horner_variance(g, h, cfg)
+    np.testing.assert_allclose(estimate, ref_estimate, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(stderr, ref_stderr, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize(
+    "field, kwargs",
+    [
+        ("variance", {"variance": float("nan")}),
+        ("variance", {"variance": float("inf")}),
+        ("variance", {"variance": 0.0}),
+        ("samples", {"samples": 2.5}),
+        ("samples", {"samples": 0}),
+    ],
+)
+def test_stochastic_config_rejects_bad_fields(field, kwargs):
+    with pytest.raises(ValueError, match=field):
+        StochasticConfig(**kwargs)
 
 
 def test_stochastic_stderr_scales_with_samples(prism):

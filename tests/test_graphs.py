@@ -18,6 +18,7 @@ from spectrawl import (
 from spectrawl.graphs import (
     DuplicateEdgeError,
     EdgeIndexError,
+    GraphError,
     ParseError,
     SelfLoopError,
     SizeMismatchError,
@@ -45,6 +46,11 @@ def test_from_edge_list_errors():
         from_edge_list(3, [(0, 1), (1, 0)])
     with pytest.raises(EdgeIndexError):
         from_edge_list(3, [(0, 3)])
+
+
+def test_empty_graph_is_rejected():
+    with pytest.raises(GraphError, match="node count must be positive"):
+        Graph(0, np.zeros((0, 0)))
 
 
 def test_adjacency_is_immutable(prism):
