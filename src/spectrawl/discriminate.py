@@ -47,6 +47,11 @@ class PairConfig:
 
     def __post_init__(self):
         spectral._check_tol(self.tol)
+        if not isinstance(self.filter, FilterParams):
+            raise ConfigError(f"filter must be a FilterParams, got {type(self.filter).__name__}")
+        depth = self.condition_depth
+        if isinstance(depth, bool) or not isinstance(depth, (int, np.integer)) or depth < 1:
+            raise ConfigError(f"condition_depth must be an integer >= 1, got {depth!r}")
 
 
 @dataclass(frozen=True)
@@ -131,8 +136,6 @@ def discriminate_pair(g1: Graph, g2: Graph, config: PairConfig = PairConfig()) -
     Eigenvectors are formed only for the groups that conditions 2 and 3
     visit, so the default path and relabeled pairs form none.
     """
-    if config.check_conditions and config.condition_depth < 1:
-        raise ValueError("depth must be >= 1")
     wl_verdict = wl.wl_distinguish(g1, g2)
 
     depth = max(len(config.filter), config.condition_depth if config.check_conditions else 0)

@@ -14,7 +14,6 @@ a norm, or a quadratic form, so signs never leak into results.
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -63,6 +62,10 @@ class Spectrum:
     `discriminate_pair`) starts with eigenvectors None and keeps its graph:
     each group's basis is then formed on first request and cached, and a
     fallback to one full `eigendecompose` fills eigenvectors in.
+
+    The group values and multiplicities are also held as two arrays, made
+    once when the spectrum is built; every group lookup (`find_group`,
+    `_unmatched_groups`) searches them with `_nearest_groups`.
     """
 
     eigenvalues: np.ndarray      # ascending, length n
@@ -70,21 +73,37 @@ class Spectrum:
     groups: tuple[EigenGroup, ...]
     _graph: Graph | None = field(default=None, repr=False)
     _bases: dict = field(default_factory=dict, repr=False)  # group indices -> basis
+    _group_values: np.ndarray = field(init=False, repr=False)  # ascending, one per group
+    _group_sizes: np.ndarray = field(init=False, repr=False)   # multiplicities
+
+    def __post_init__(self):
+        values = np.array([grp.value for grp in self.groups], dtype=np.float64)
+        sizes = np.array([grp.multiplicity for grp in self.groups], dtype=np.intp)
+        object.__setattr__(self, "_group_values", values)
+        object.__setattr__(self, "_group_sizes", sizes)
 
     @property
     def n(self) -> int:
         return len(self.eigenvalues)
 
+    def _nearest_groups(self, values: np.ndarray, tol: float) -> np.ndarray:
+        """Index of the group nearest each value within tol, or -1 where none is.
+
+        Group values ascend, so only the two groups around a value's insertion
+        point can be nearest; an exact tie goes to the lower one.
+        """
+        gv = self._group_values
+        if not len(gv):
+            return np.full(len(values), -1)
+        i = np.searchsorted(gv, values)
+        lo, hi = np.maximum(i - 1, 0), np.minimum(i, len(gv) - 1)
+        d_lo, d_hi = np.abs(gv[lo] - values), np.abs(gv[hi] - values)
+        upper = d_hi < d_lo
+        return np.where(np.where(upper, d_hi, d_lo) <= tol, np.where(upper, hi, lo), -1)
+
     def find_group(self, value: float, tol: float) -> EigenGroup | None:
-        # groups ascend by value: only the two around value's insertion point can be nearest
-        i = bisect.bisect_left(self.groups, value, key=lambda grp: grp.value)
-        best = None
-        for grp in self.groups[max(i - 1, 0) : i + 1]:
-            if abs(grp.value - value) <= tol and (
-                best is None or abs(grp.value - value) < abs(best.value - value)
-            ):
-                best = grp
-        return best
+        i = int(self._nearest_groups(np.array([value], dtype=np.float64), tol)[0])
+        return self.groups[i] if i >= 0 else None
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,14 +120,12 @@ class Eigenspace:
 
 
 def _group_indices(w: np.ndarray, tol: float) -> tuple[EigenGroup, ...]:
-    groups: list[EigenGroup] = []
-    start = 0
-    for i in range(1, len(w) + 1):
-        if i == len(w) or w[i] - w[i - 1] > tol:
-            idx = tuple(range(start, i))
-            groups.append(EigenGroup(float(np.mean(w[start:i])), idx))
-            start = i
-    return tuple(groups)
+    """Split ascending w into groups at every gap wider than tol; a group's value is its mean."""
+    bounds = np.concatenate(([0], np.flatnonzero(np.diff(w) > tol) + 1, [len(w)])).tolist()
+    return tuple(
+        EigenGroup(float(w[lo]) if hi - lo == 1 else float(np.mean(w[lo:hi])), tuple(range(lo, hi)))
+        for lo, hi in zip(bounds[:-1], bounds[1:])
+    )
 
 
 def eigendecompose(g: Graph) -> Spectrum:
@@ -303,10 +320,11 @@ def _unmatched_groups(a: Spectrum, b: Spectrum, tol: float):
     Groups are visited in a's ascending order.
     """
     _check_tol(tol)
-    for grp in a.groups:
-        other = b.find_group(grp.value, tol)
-        if other is None or other.multiplicity != grp.multiplicity:
-            yield grp, other
+    near = b._nearest_groups(a._group_values, tol)
+    # index -1 (no group near) reads the appended 0, which no multiplicity equals
+    sizes = np.append(b._group_sizes, 0)[near]
+    for i in np.flatnonzero(sizes != a._group_sizes).tolist():
+        yield a.groups[i], (b.groups[near[i]] if near[i] >= 0 else None)
 
 
 def eigenspace(s: Spectrum, value: float, tol: float = 1e-6) -> Eigenspace:
@@ -356,9 +374,11 @@ def embeddings_isomorphic(y1: np.ndarray, y2: np.ndarray, tol: float = 1e-6) -> 
     if y1.shape[0] != y2.shape[0]:
         return False
     digits = max(0, int(np.ceil(-np.log10(tol))))
-    # adding 0.0 turns -0.0 into 0.0
-    rows1, rows2 = (sorted(map(tuple, np.round(y, digits) + 0.0)) for y in (y1, y2))
-    return rows1 == rows2
+    # adding 0.0 turns -0.0 into 0.0; lexsort's last key is its primary one
+    rows1, rows2 = (np.round(y, digits) + 0.0 for y in (y1, y2))
+    if y1.shape[1]:
+        rows1, rows2 = rows1[np.lexsort(rows1.T[::-1])], rows2[np.lexsort(rows2.T[::-1])]
+    return np.array_equal(rows1, rows2)
 
 
 def check_separability_conditions(

@@ -1,7 +1,10 @@
+import bisect
+
 import numpy as np
 import pytest
 
-from spectrawl import Permutation, apply_permutation, corpus_graph, erdos_renyi
+from spectrawl import Permutation, apply_permutation, corpus_graph, erdos_renyi, spectral
+from spectrawl.spectral import EigenGroup
 
 
 @pytest.fixture(scope="session")
@@ -66,3 +69,70 @@ def assert_conditions_agree(lazy, eager, r, rel=1e-9, abs_tol=0.0):
         if a is not None:
             assert abs(a[0] - b[0]) <= 1e-12 * r
             assert list(a[1:]) == pytest.approx(list(b[1:]), rel=rel, abs=abs_tol)
+
+
+# ---------------------------------------------------------------------------
+# Reference implementations: the straightforward loops the library's array
+# code replaced. Each must give the library's answer bit for bit.
+# ---------------------------------------------------------------------------
+
+
+def half_power_diag_powers(g, depth):
+    """diag(S^k) as row dots of S^floor(k/2) and S^ceil(k/2), one product per power."""
+    s = g.adjacency
+    out = np.empty((g.n, depth))
+    out[:, 0] = 1.0
+    if depth > 1:
+        out[:, 1] = np.diag(s)
+    p = q = s
+    for k in range(2, depth):
+        p = q
+        if k % 2:
+            q = q @ s
+        out[:, k] = (p[:, None, :] @ q[:, :, None])[:, 0, 0]
+    return out
+
+
+def loop_group_indices(w, tol):
+    """Eigenvalue groups by one pass over ascending w; a group's value is np.mean of its slice."""
+    groups = []
+    start = 0
+    for i in range(1, len(w) + 1):
+        if i == len(w) or w[i] - w[i - 1] > tol:
+            groups.append(EigenGroup(float(np.mean(w[start:i])), tuple(range(start, i))))
+            start = i
+    return tuple(groups)
+
+
+def bisect_find_group(s, value, tol):
+    """Nearest group of s within tol by bisecting, then scanning the two neighbors."""
+    i = bisect.bisect_left(s.groups, value, key=lambda grp: grp.value)
+    best = None
+    for grp in s.groups[max(i - 1, 0) : i + 1]:
+        if abs(grp.value - value) <= tol and (
+            best is None or abs(grp.value - value) < abs(best.value - value)
+        ):
+            best = grp
+    return best
+
+
+def loop_unmatched_groups(a, b, tol):
+    """(group, partner) for each group of a that b lacks at equal multiplicity, one lookup per group."""
+    spectral._check_tol(tol)
+    for grp in a.groups:
+        other = bisect_find_group(b, grp.value, tol)
+        if other is None or other.multiplicity != grp.multiplicity:
+            yield grp, other
+
+
+def tuple_rows_isomorphic(y1, y2, tol=1e-6):
+    """Row-multiset comparison by sorting the rounded rows as Python tuples."""
+    spectral._check_tol(tol)
+    y1, y2 = spectral._as_rows(y1), spectral._as_rows(y2)
+    if y1.shape[1] != y2.shape[1]:
+        raise ValueError("embeddings must share a column count")
+    if y1.shape[0] != y2.shape[0]:
+        return False
+    digits = max(0, int(np.ceil(-np.log10(tol))))
+    rows1, rows2 = (sorted(map(tuple, np.round(y, digits) + 0.0)) for y in (y1, y2))
+    return rows1 == rows2

@@ -31,7 +31,7 @@ from spectrawl import (
     spectra_differ,
     wl_distinguish,
 )
-from spectrawl import gnn, spectral
+from spectrawl import discriminate, gnn, spectral
 from spectrawl.discriminate import (
     ConfigError,
     ConvLayer,
@@ -41,7 +41,15 @@ from spectrawl.discriminate import (
     selector_diag_layer,
 )
 
-from conftest import assert_conditions_agree, random_graph_pairs
+from conftest import (
+    assert_conditions_agree,
+    bisect_find_group,
+    half_power_diag_powers,
+    loop_group_indices,
+    loop_unmatched_groups,
+    random_graph_pairs,
+    tuple_rows_isomorphic,
+)
 
 # class scores frozen from an independent recomputation via circulant
 # eigenvalue traces: sum_k h_k sum_j lambda_j^k / 1e3
@@ -89,8 +97,6 @@ def test_embeddings_isomorphic_rejects_bad_tolerance(tol):
 
 
 def test_embeddings_isomorphic_is_the_spectral_comparator():
-    from spectrawl import discriminate
-
     assert discriminate.embeddings_isomorphic is spectral.embeddings_isomorphic
     assert embeddings_isomorphic is spectral.embeddings_isomorphic
 
@@ -191,11 +197,45 @@ def test_discriminate_conditions_match_eager_path():
     assert witnesses >= 15
 
 
+def test_reports_match_the_reference_loops(monkeypatch):
+    rng = np.random.default_rng(17)
+    sparse = erdos_renyi(200, 8 / 200, rng)
+    dense = erdos_renyi(120, 0.5, rng)
+    pairs = [
+        (sparse, apply_permutation(sparse, Permutation.random(200, rng))),
+        (erdos_renyi(200, 8 / 200, rng), erdos_renyi(200, 8 / 200, rng)),
+        (dense, apply_permutation(dense, Permutation.random(120, rng))),
+    ]
+    config = PairConfig(check_conditions=True)
+    reports = [discriminate_pair(g1, g2, config).to_json() for g1, g2 in pairs]
+    monkeypatch.setattr(gnn, "diag_powers", half_power_diag_powers)
+    monkeypatch.setattr(spectral, "_group_indices", loop_group_indices)
+    monkeypatch.setattr(spectral.Spectrum, "find_group", bisect_find_group)
+    monkeypatch.setattr(spectral, "_unmatched_groups", loop_unmatched_groups)
+    monkeypatch.setattr(spectral, "embeddings_isomorphic", tuple_rows_isomorphic)
+    monkeypatch.setattr(discriminate, "embeddings_isomorphic", tuple_rows_isomorphic)
+    assert [discriminate_pair(g1, g2, config).to_json() for g1, g2 in pairs] == reports
+
+
 def test_discriminate_condition_depth_must_be_positive(prism, k33, count_calls):
     calls = count_calls(spectral, "eigendecompose")
     with pytest.raises(ValueError):
         discriminate_pair(prism, k33, PairConfig(check_conditions=True, condition_depth=0))
     assert len(calls) == 0  # rejected before any work
+
+
+@pytest.mark.parametrize(
+    "field, kwargs",
+    [
+        ("condition_depth", {"condition_depth": 0}),
+        ("condition_depth", {"condition_depth": 2.5}),
+        ("condition_depth", {"condition_depth": True}),
+        ("filter", {"filter": (1.0, 2.0)}),
+    ],
+)
+def test_pair_config_rejects_bad_fields(field, kwargs):
+    with pytest.raises(ConfigError, match=field):
+        PairConfig(**kwargs)
 
 
 @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])

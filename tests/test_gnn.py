@@ -1,3 +1,6 @@
+import tracemalloc
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -32,7 +35,7 @@ from spectrawl.discriminate import PAIR_FILTER, csl_base_graph
 from spectrawl.gnn import DimensionMismatchError
 from spectrawl.graphs import TooLargeError
 
-from conftest import random_graph_pairs
+from conftest import half_power_diag_powers, random_graph_pairs
 
 
 def test_nonlinearities():
@@ -151,8 +154,8 @@ def test_diag_powers_half_power_ladder_is_exact():
     rng = np.random.default_rng(43)
     graphs = [e.graph for e in corpus()] + [erdos_renyi(n, 8 / n, rng) for n in (50, 300)]
     for g in graphs:
-        ref = _sequential_diag_powers(g, 12)
-        for depth in range(1, 13):
+        ref = _sequential_diag_powers(g, 16)
+        for depth in range(1, 17):
             np.testing.assert_array_equal(diag_powers(g, depth), ref[:, :depth])
 
 
@@ -162,6 +165,81 @@ def test_diag_powers_half_power_ladder_past_2_53():
     ref = _sequential_diag_powers(g, 11)
     assert ref.max() > 2.0**53
     np.testing.assert_allclose(diag_powers(g, 11), ref, rtol=1e-13, atol=0)
+
+
+class _LoggedPower(np.ndarray):
+    """An adjacency matrix that logs each matrix product formed from it, and from its products."""
+
+    def __matmul__(self, other):
+        out = super().__matmul__(other)
+        if self.ndim == other.ndim == 2:
+            # numpy hands P @ P.T, a transposed view of one buffer, to syrk
+            squaring = np.shares_memory(self, other) and other.strides == self.strides[::-1]
+            self.log.append((np.array(out), squaring))
+        return out
+
+    def __array_finalize__(self, obj):
+        self.log = getattr(obj, "log", None)
+
+
+def _logged_ladder(g, depth):
+    """diag_powers(g, depth) and its products as (exponent, squaring, rows); g has n <= 256."""
+    s = g.adjacency.view(_LoggedPower)
+    s.log = []
+    x = diag_powers(SimpleNamespace(n=g.n, adjacency=s), depth)
+    powers = [np.linalg.matrix_power(g.adjacency, k) for k in range(depth)]
+
+    def exponent(p):
+        return next(k for k in range(depth) if np.array_equal(p, powers[k][: len(p)]))
+
+    return x, [(exponent(p), squaring, len(p)) for p, squaring in s.log]
+
+
+def test_diag_powers_forms_squares_then_a_chain():
+    g = erdos_renyi(40, 0.1, np.random.default_rng(3))
+    plans = {d: sorted({(e, sq) for e, sq, _ in _logged_ladder(g, d)[1]}) for d in (3, 5, 6, 10, 13)}
+    # (exponent, formed by squaring)
+    assert plans == {
+        3: [],
+        5: [(2, True)],
+        6: [(2, True), (4, True)],
+        10: [(2, True), (4, True), (5, False)],
+        13: [(2, True), (4, True), (5, False), (6, False)],
+    }
+
+
+def test_diag_powers_covers_every_depth_at_no_more_cost():
+    # two disjoint cycles: walk counts stay below 2^41, so every entry is exact
+    cycles = [(i, (i + 1) % 5) for i in range(5)] + [(5 + i, 5 + (i + 1) % 7) for i in range(7)]
+    g = from_edge_list(12, cycles)
+    ref = _sequential_diag_powers(g, 41)
+    for depth in range(1, 42):
+        x, log = _logged_ladder(g, depth)
+        np.testing.assert_array_equal(x, ref[:, :depth])
+        # n^3 units: syrk 1, general product 2; a ladder of one general
+        # product per power forms S^2..S^h with h = ceil((depth - 1) / 2)
+        cost = sum((1 if squaring else 2) * rows / g.n for _, squaring, rows in log)
+        assert cost <= 2 * max(0, depth // 2 - 1), depth
+
+
+@pytest.mark.parametrize("depth", [10, 16])
+def test_diag_powers_holds_two_powers_besides_s(depth):
+    g = erdos_renyi(600, 8 / 600, np.random.default_rng(5))
+    tracemalloc.start()
+    try:
+        x = diag_powers(g, depth)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    np.testing.assert_array_equal(x, half_power_diag_powers(g, depth))
+    # two n x n powers, one 256-row block of S^5 and the result
+    assert peak <= 8 * (2 * g.n**2 + 256 * g.n + depth * g.n) + 65536
+
+
+@pytest.mark.parametrize("depth", [2.5, True, "3", None])
+def test_diag_powers_rejects_a_non_integer_depth(prism, depth):
+    with pytest.raises(ValueError, match="depth"):
+        diag_powers(prism, depth)
 
 
 def test_diagonal_module_reference_outputs(prism, k33, bihexagon, bipentagon):

@@ -35,7 +35,14 @@ from spectrawl.spectral import (
     Spectrum,
 )
 
-from conftest import assert_conditions_agree, random_graph_pairs
+from conftest import (
+    assert_conditions_agree,
+    bisect_find_group,
+    loop_group_indices,
+    loop_unmatched_groups,
+    random_graph_pairs,
+    tuple_rows_isomorphic,
+)
 
 SQRT6 = np.sqrt(6.0)
 
@@ -192,6 +199,80 @@ def test_find_group_nearest_within_tol():
         within = [g for g in groups if abs(g.value - value) <= 0.3]
         nearest = min(within, key=lambda g: abs(g.value - value), default=None)
         assert s.find_group(value, 0.3) is nearest
+
+
+def _bits(groups):
+    return [(grp.value.hex(), grp.indices) for grp in groups]
+
+
+def _grid_values(rng, tol=0.25):
+    """1..12 ascending values on a grid of tol / 2: gaps of exactly tol, ties at midpoints."""
+    return np.sort(rng.integers(-12, 13, int(rng.integers(1, 13))) * (tol / 2))
+
+
+def _grid_spectrum(rng, tol=0.25):
+    w = _grid_values(rng, tol)
+    return Spectrum(w, None, spectral._group_indices(w, tol))
+
+
+def test_group_indices_match_the_loop():
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        w = _grid_values(rng)
+        assert _bits(spectral._group_indices(w, 0.25)) == _bits(loop_group_indices(w, 0.25))
+    # clusters whose means round
+    for _ in range(50):
+        centers = np.repeat(rng.normal(size=6), rng.integers(1, 5, 6))
+        w = np.sort(centers + rng.normal(scale=1e-8, size=len(centers)))
+        assert _bits(spectral._group_indices(w, 1e-6)) == _bits(loop_group_indices(w, 1e-6))
+    for g in (corpus_graph("prism"), corpus_graph("bihexagon"), erdos_renyi(60, 0.1, rng)):
+        w = np.linalg.eigvalsh(g.adjacency)
+        tol = spectral.default_group_tol(w)
+        assert _bits(spectral._group_indices(w, tol)) == _bits(loop_group_indices(w, tol))
+
+
+def _same_pairs(new, old):
+    return len(new) == len(old) and all(a is c and b is d for (a, b), (c, d) in zip(new, old))
+
+
+def test_group_lookups_match_the_bisect_loop():
+    rng = np.random.default_rng(12)
+    spectra = [_grid_spectrum(rng) for _ in range(80)]  # node counts differ between neighbors
+    ties = mismatched = 0
+    for a, b in zip(spectra, spectra[1:]):
+        gv = b._group_values
+        queries = np.concatenate([a._group_values, gv, (gv[:-1] + gv[1:]) / 2, gv - 0.25, gv + 0.25])
+        for value in np.concatenate([queries, rng.uniform(-2.0, 2.0, 10)]):
+            assert b.find_group(value, 0.25) is bisect_find_group(b, value, 0.25)
+            dist = np.abs(gv - value)
+            ties += int(np.count_nonzero(dist == dist.min()) == 2 and dist.min() <= 0.25)
+        for tol in (0.125, 0.25, 0.5):
+            old = list(loop_unmatched_groups(a, b, tol))
+            assert _same_pairs(list(spectral._unmatched_groups(a, b, tol)), old)
+            mismatched += sum(other is not None for _, other in old)
+    # the cases the lookup must break the same way: midpoint ties, partners of another multiplicity
+    assert ties > 0 and mismatched > 0
+
+
+def test_row_multisets_match_the_tuple_sort():
+    rng = np.random.default_rng(13)
+    outcomes = []
+    for _ in range(150):
+        n, d = int(rng.integers(1, 9)), int(rng.integers(1, 4))
+        base = rng.normal(size=(n, d))
+        base[rng.random((n, d)) < 0.2] = -0.0
+        base[rng.random((n, d)) < 0.1] = -1e-9  # rounds to -0.0
+        y1 = base[rng.integers(0, n, n)]  # rows drawn with repeats
+        zeros_flipped = np.where(y1 == 0.0, 0.0, y1)
+        nudged = y1.copy()
+        nudged[rng.integers(0, n), rng.integers(0, d)] += 1e-3
+        for y2 in (y1[rng.permutation(n)], zeros_flipped, base[rng.integers(0, n, n)], nudged):
+            same = spectral.embeddings_isomorphic(y1, y2)
+            assert same == tuple_rows_isomorphic(y1, y2)
+            outcomes.append(same)
+    empty = np.ones((3, 0))
+    assert spectral.embeddings_isomorphic(empty, empty) is tuple_rows_isomorphic(empty, empty) is True
+    assert 0 < sum(outcomes) < len(outcomes)
 
 
 def test_check_separability_conditions_all_ones_inconclusive(prism, k33):
