@@ -7,8 +7,10 @@ all operations are pure, so values can be shared freely across threads.
 
 from __future__ import annotations
 
+import operator
 import os
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -96,13 +98,41 @@ class Graph:
     def num_edges(self) -> int:
         return int(self.adjacency.sum()) // 2
 
+    @cached_property
+    def edge_index(self) -> tuple[np.ndarray, np.ndarray]:
+        """CSR neighbour index (indptr, indices), built once per graph.
+
+        The neighbours of node v are indices[indptr[v]:indptr[v + 1]], in
+        ascending order, so indptr[v + 1] - indptr[v] is v's degree and
+        len(indices) is the adjacency's nonzero count, twice the edge count.
+        Both arrays are int64 and read-only. The graph is immutable, so the
+        index is cached on it: neighbors, edges, 1-WL's neighbour lists and
+        the sparse closed-walk ladder all read this one copy.
+        """
+        rows, indices = np.nonzero(self.adjacency)  # row-major: sorted by (row, column)
+        indptr = np.zeros(self.n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=self.n), out=indptr[1:])
+        for a in (indptr, indices):
+            a.flags.writeable = False
+        return indptr, indices
+
     def edges(self) -> list[tuple[int, int]]:
         """Undirected edge list with u < v, sorted."""
-        us, vs = np.nonzero(np.triu(self.adjacency))
-        return list(zip(us.tolist(), vs.tolist()))
+        indptr, indices = self.edge_index
+        us = np.repeat(np.arange(self.n), np.diff(indptr))
+        upper = us < indices
+        return list(zip(us[upper].tolist(), indices[upper].tolist()))
 
     def neighbors(self, v: int) -> np.ndarray:
-        return np.flatnonzero(self.adjacency[v])
+        """Neighbours of node v in ascending order, as a read-only view of the edge index.
+
+        Raises EdgeIndexError for v outside [0, n).
+        """
+        v = operator.index(v)
+        if not 0 <= v < self.n:
+            raise EdgeIndexError(v, self.n)
+        indptr, indices = self.edge_index
+        return indices[indptr[v] : indptr[v + 1]]
 
 
 @dataclass(frozen=True)

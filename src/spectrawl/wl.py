@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import gnn
 from .graphs import Graph
 
 
@@ -77,10 +78,10 @@ def _refine_step(colorings: list[np.ndarray], neighbor_lists: list[np.ndarray]):
 
 def _neighbor_lists(g: Graph) -> np.ndarray:
     """n x (max degree) neighbor indices, each row left-packed and padded with -1."""
-    rows, cols = np.nonzero(g.adjacency)
-    deg = np.bincount(rows, minlength=g.n)
+    indptr, indices = g.edge_index
+    deg = np.diff(indptr)
     out = np.full((g.n, deg.max(initial=0)), -1, dtype=np.int64)
-    out[rows, np.arange(len(rows)) - np.repeat(np.cumsum(deg) - deg, deg)] = cols
+    out[np.repeat(np.arange(g.n), deg), np.arange(len(indices)) - np.repeat(indptr[:-1], deg)] = indices
     return out
 
 
@@ -105,17 +106,28 @@ def wl_distinguish(g1: Graph, g2: Graph, init: str = "uniform") -> str:
     The relabeling is shared between the two graphs so color identifiers are
     directly comparable; the verdict compares the sorted final color
     multisets.
+
+    It returns "distinguished" as soon as the two color histograms differ:
+    first on the degree multisets, which are the histograms after one round
+    from the uniform init and are compared before any neighbor list is built,
+    then after every joint round. Refinement only splits classes, so a class
+    whose counts differ between the graphs always leaves a subclass whose
+    counts differ, and the final multisets would differ too: every verdict
+    is the one full refinement gives.
     """
-    if g1.n != g2.n:
-        return "distinguished"
     colorings = [_initial_colors(g1, init), _initial_colors(g2, init)]
+
+    def same_histogram(a, b) -> bool:  # also False for different node counts
+        return np.array_equal(np.sort(a), np.sort(b))
+
+    if not same_histogram(g1.degrees, g2.degrees):
+        return "distinguished"
     nbrs = [_neighbor_lists(g1), _neighbor_lists(g2)]
     for _ in range(g1.n + g2.n + 1):
         colorings, changed = _refine_step(colorings, nbrs)
-        if not changed:
+        if not (changed and same_histogram(*colorings)):
             break
-    sig1, sig2 = (np.sort(cs) for cs in colorings)
-    return "indistinguishable" if np.array_equal(sig1, sig2) else "distinguished"
+    return "indistinguishable" if same_histogram(*colorings) else "distinguished"
 
 
 def wl_feature_matrix(g: Graph, depth: int) -> np.ndarray:
@@ -125,8 +137,7 @@ def wl_feature_matrix(g: Graph, depth: int) -> np.ndarray:
     collision-free; on regular graphs every column is constant, which is the
     whole failure mode.
     """
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
+    gnn._check_depth(depth)
     out = np.empty((g.n, depth))
     x = np.ones(g.n)
     for k in range(depth):

@@ -8,10 +8,13 @@ from hypothesis import strategies as st
 
 from spectrawl import (
     FilterParams,
+    Graph,
     LINEAR,
     Nonlinearity,
+    Permutation,
     RELU,
     StochasticConfig,
+    apply_permutation,
     closed_walk_count,
     constant_input_response,
     corpus,
@@ -240,6 +243,63 @@ def test_diag_powers_holds_two_powers_besides_s(depth):
 def test_diag_powers_rejects_a_non_integer_depth(prism, depth):
     with pytest.raises(ValueError, match="depth"):
         diag_powers(prism, depth)
+
+
+def _gather_cases():
+    """Sparse graphs with isolated nodes, a hub of degree n - 1 and two components, and relabeled copies.
+
+    Sizes straddle the 32-row chunks and 128-row blocks of the gather plan;
+    every walk count up to depth 16 stays below 2^53.
+    """
+    rng = np.random.default_rng(67)
+    a = np.zeros((75, 75))
+    a[:70, :70] = erdos_renyi(70, 0.06, rng).adjacency  # 5 isolated nodes, maybe more
+    hub = erdos_renyi(60, 0.04, rng).adjacency.copy()
+    hub[0, 1:] = hub[1:, 0] = 1.0
+    two = np.zeros((90, 90))
+    two[:50, :50] = erdos_renyi(50, 0.08, rng).adjacency
+    two[50:, 50:] = erdos_renyi(40, 0.1, rng).adjacency
+    graphs = [Graph(75, a), Graph(60, hub), Graph(90, two), erdos_renyi(300, 8 / 300, rng)]
+    return graphs + [apply_permutation(g, Permutation.random(g.n, rng)) for g in graphs]
+
+
+def test_diag_powers_gather_plan_is_exact(monkeypatch):
+    monkeypatch.setattr(gnn, "_GATHER_DENSITY", 0)  # every graph takes the gather plan
+    for g in _gather_cases():
+        ref = _sequential_diag_powers(g, 16)
+        assert ref.max() < 2.0**53
+        for depth in range(1, 17):
+            np.testing.assert_array_equal(diag_powers(g, depth), ref[:, :depth])
+
+
+def _blas_products(g, depth, **extra):
+    """(formed by squaring, rows) of each BLAS product diag_powers forms, on an object with n and adjacency."""
+    s = g.adjacency.view(_LoggedPower)
+    s.log = []
+    x = diag_powers(SimpleNamespace(n=g.n, adjacency=s, **extra), depth)
+    np.testing.assert_array_equal(x, diag_powers(g, depth))
+    return [(squaring, len(p)) for p, squaring in s.log]
+
+
+def test_diag_powers_plan_follows_density():
+    sparse = erdos_renyi(600, 8 / 600, np.random.default_rng(5))  # as in the memory test
+    # the gathered S^2 is a plain array, so the syrk that squares it is not logged either
+    for depth in (10, 16):
+        assert _blas_products(sparse, depth, edge_index=sparse.edge_index) == []
+    for dense in (erdos_renyi(200, 0.5, np.random.default_rng(71)), csl_base_graph(41, 5)):
+        n = dense.n
+        # no edge_index on the object: the dense plan never reads one
+        assert _blas_products(dense, 10) == [(True, n), (True, n), (False, n)]
+        assert _blas_products(dense, 13) == [(True, n), (True, n), (False, n), (False, n)]
+
+
+def test_diag_powers_gather_plan_builds_one_slot_table(count_calls):
+    g = erdos_renyi(700, 6 / 700, np.random.default_rng(73))
+    calls = count_calls(gnn, "_gather_slots")
+    np.testing.assert_array_equal(diag_powers(g, 16), half_power_diag_powers(g, 16))
+    assert len(calls) == 1
+    diag_powers(erdos_renyi(100, 0.3, np.random.default_rng(73)), 16)
+    assert len(calls) == 1
 
 
 def test_diagonal_module_reference_outputs(prism, k33, bihexagon, bipentagon):

@@ -202,3 +202,30 @@ def test_load_rejects_duplicate_edge(tmp_path):
 def test_load_missing_file():
     with pytest.raises(OSError):
         load_graph("/nonexistent/graph.txt")
+
+
+def test_edge_index_is_cached_sorted_csr():
+    g = erdos_renyi(40, 0.2, np.random.default_rng(59))
+    indptr, indices = g.edge_index
+    assert g.edge_index[0] is indptr and g.edge_index[1] is indices
+    assert not indptr.flags.writeable and not indices.flags.writeable
+    np.testing.assert_array_equal(np.diff(indptr), g.degrees)
+    for v in range(g.n):
+        np.testing.assert_array_equal(indices[indptr[v] : indptr[v + 1]], np.flatnonzero(g.adjacency[v]))
+
+
+def test_neighbors_and_edges_read_the_edge_index(bihexagon):
+    g = erdos_renyi(30, 0.3, np.random.default_rng(61))
+    for v in range(g.n):
+        np.testing.assert_array_equal(g.neighbors(v), np.flatnonzero(g.adjacency[v]))
+    us, vs = np.nonzero(np.triu(g.adjacency))
+    assert g.edges() == list(zip(us.tolist(), vs.tolist()))
+    np.testing.assert_array_equal(bihexagon.neighbors(np.int64(4)), [2, 5, 6])
+    assert Graph(3, np.zeros((3, 3))).edges() == []
+    assert Graph(3, np.zeros((3, 3))).neighbors(2).size == 0
+
+
+@pytest.mark.parametrize("v", [-1, -10, 10, 11])
+def test_neighbors_rejects_a_node_out_of_range(bihexagon, v):
+    with pytest.raises(EdgeIndexError, match=f"node index {v} out of range for n=10"):
+        bihexagon.neighbors(v)

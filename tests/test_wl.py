@@ -115,6 +115,19 @@ def test_feature_matrix_depth_validation(prism):
         wl_feature_matrix(prism, 0)
 
 
+@pytest.mark.parametrize("depth", [2.5, True, "3", None])
+def test_feature_matrix_rejects_a_non_integer_depth(prism, depth):
+    with pytest.raises(ValueError, match="depth"):
+        wl_feature_matrix(prism, depth)
+
+
+def test_distinguish_checks_init_before_any_shortcut(prism, bihexagon, k33):
+    # node counts differ, degree multisets differ, then both equal
+    for g1, g2 in ((prism, bihexagon), (prism, from_edge_list(6, [(0, 1)])), (prism, k33)):
+        with pytest.raises(ValueError, match="unknown init 'bogus'"):
+            wl_distinguish(g1, g2, "bogus")
+
+
 # Dict-keyed refinement, kept as the oracle for the array-keyed step: keys are
 # (color, sorted neighbor color tuple), labels their rank in sorted order.
 def _oracle_init(g, init):
@@ -216,3 +229,75 @@ def test_joint_step_matches_oracle_across_sizes():
             expected, expected_changed = _oracle_step(expected, [_oracle_nbrs(g) for g in group])
             assert [c.tolist() for c in colorings] == expected
             assert changed == expected_changed
+
+
+def _full_refinement(g1, g2, init):
+    """Verdict and round count of joint refinement run to stability, with no early exit."""
+    colorings = [wl._initial_colors(g, init) for g in (g1, g2)]
+    nbrs = [wl._neighbor_lists(g) for g in (g1, g2)]
+    rounds = 0
+    for rounds in range(1, g1.n + g2.n + 2):
+        colorings, changed = wl._refine_step(colorings, nbrs)
+        if not changed:
+            break
+    same = np.array_equal(*(np.sort(cs) for cs in colorings))
+    return ("indistinguishable" if same else "distinguished"), rounds
+
+
+def _double_edge_swap(g, rng):
+    """g with edges (a, b), (c, d) replaced by (a, d), (c, b): every degree is kept."""
+    a = g.adjacency.copy()
+    edges = g.edges()
+    for _ in range(1000):
+        (u, v), (x, y) = (edges[i] for i in rng.choice(len(edges), size=2, replace=False))
+        if rng.random() < 0.5:
+            x, y = y, x
+        if len({u, v, x, y}) == 4 and a[u, y] == 0.0 and a[x, v] == 0.0:
+            a[u, v] = a[v, u] = a[x, y] = a[y, x] = 0.0
+            a[u, y] = a[y, u] = a[x, v] = a[v, x] = 1.0
+            return Graph(g.n, a)
+    raise AssertionError("no double-edge swap found")
+
+
+def test_early_verdict_matches_full_refinement(count_calls):
+    rng = np.random.default_rng(79)
+    pairs = []
+    for _ in range(40):
+        g = erdos_renyi(int(rng.integers(8, 40)), float(rng.uniform(0.15, 0.4)), rng)
+        pairs.append((g, apply_permutation(g, Permutation.random(g.n, rng))))
+        swapped = g
+        for _ in range(int(rng.integers(1, 4))):
+            swapped = _double_edge_swap(swapped, rng)
+        pairs.append((g, swapped))
+    steps = count_calls(wl, "_refine_step")
+    early_exits = 0
+    for g1, g2 in pairs:
+        assert sorted(g1.degrees) == sorted(g2.degrees)
+        for init in ("uniform", "degree"):
+            verdict, rounds = _full_refinement(g1, g2, init)
+            del steps[:]
+            assert wl_distinguish(g1, g2, init) == verdict
+            assert len(steps) <= rounds
+            early_exits += len(steps) < rounds
+    # some swaps are told apart before refinement is stable, some never
+    assert early_exits > 0
+    verdicts = {_full_refinement(g1, g2, "uniform")[0] for g1, g2 in pairs[1::2]}
+    assert verdicts == {"distinguished", "indistinguishable"}
+
+
+def test_differing_degrees_build_no_neighbor_lists(count_calls, prism):
+    rng = np.random.default_rng(83)
+    built = count_calls(wl, "_neighbor_lists")
+    for _ in range(20):
+        n = int(rng.integers(5, 60))
+        g1, g2 = erdos_renyi(n, 0.2, rng), erdos_renyi(n, 0.2, rng)
+        if sorted(g1.degrees) == sorted(g2.degrees):
+            continue
+        for init in ("uniform", "degree"):
+            assert wl_distinguish(g1, g2, init) == "distinguished"
+            assert _oracle_distinguish(g1, g2, init) == "distinguished"
+    assert wl_distinguish(prism, from_edge_list(6, [(0, 1), (2, 3)])) == "distinguished"
+    assert built == []
+    # equal degree multisets do refine
+    assert wl_distinguish(prism, apply_permutation(prism, Permutation.random(6, rng))) == "indistinguishable"
+    assert len(built) == 2
