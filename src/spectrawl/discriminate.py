@@ -49,6 +49,12 @@ class PairConfig:
         spectral._check_tol(self.tol)
         if not isinstance(self.filter, FilterParams):
             raise ConfigError(f"filter must be a FilterParams, got {type(self.filter).__name__}")
+        try:
+            object.__setattr__(self, "sigma", gnn.as_nonlinearity(self.sigma))
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"sigma must be a Nonlinearity or its name: {exc}") from None
+        if not isinstance(self.check_conditions, (bool, np.bool_)):
+            raise ConfigError(f"check_conditions must be a bool, got {self.check_conditions!r}")
         depth = self.condition_depth
         if isinstance(depth, bool) or not isinstance(depth, (int, np.integer)) or depth < 1:
             raise ConfigError(f"condition_depth must be an integer >= 1, got {depth!r}")
@@ -135,27 +141,47 @@ def discriminate_pair(g1: Graph, g2: Graph, config: PairConfig = PairConfig()) -
     spectral.ConvergenceFailure when they disagree beyond rounding).
     Eigenvectors are formed only for the groups that conditions 2 and 3
     visit, so the default path and relabeled pairs form none.
+
+    When refinement leaves equal colorings, their candidate map is checked
+    edge for edge (wl._verified_map). A map that passes proves the pair
+    isomorphic, and every verdict follows from that: only g1's walk counts
+    are built (to depth len(filter)), g2's are g1's rows moved by the map,
+    and no eigenvalue is computed. Pairs it does not certify, such as
+    vertex-transitive ones, take the full path.
     """
-    wl_verdict = wl.wl_distinguish(g1, g2)
-
-    depth = max(len(config.filter), config.condition_depth if config.check_conditions else 0)
-    x1, x2 = gnn.diag_powers(g1, depth), gnn.diag_powers(g2, depth)
-
-    s1, s2 = spectral._values_first(g1, x1), spectral._values_first(g2, x2)
-    witness = spectral.spectra_differ(s1, s2, config.tol)
-    spectral_verdict = "separable" if witness is not None else "inconclusive"
-
-    y1 = gnn._walk_readout(x1, config.filter, config.sigma)
-    y2 = gnn._walk_readout(x2, config.filter, config.sigma)
-    diag_same = embeddings_isomorphic(y1, y2, config.tol)
-    diag_verdict = "inconclusive" if diag_same else "separable"
+    colorings = wl._joint_refinement(g1, g2)
+    wl_verdict = "distinguished" if colorings is None else "indistinguishable"
+    mapping = None if colorings is None else wl._verified_map(g1, g2, colorings)
 
     conditions = None
-    if config.check_conditions:
-        d = config.condition_depth
-        conditions = spectral.check_separability_conditions(
-            s1, s2, x1[:, :d], x2[:, :d], config.tol
-        )
+    if mapping is not None:
+        # a proven isomorphism: equal spectra, walk rows equal up to the map,
+        # no condition can hold, so one ladder serves both graphs. Node
+        # mapping[v] of g2 takes v's row: g2's rows are x1 at the inverse map
+        x1 = gnn.diag_powers(g1, len(config.filter))
+        y1 = gnn._walk_readout(x1, config.filter, config.sigma)
+        y2 = gnn._walk_readout(x1[np.argsort(mapping)], config.filter, config.sigma)
+        witness, spectral_verdict, diag_verdict = None, "inconclusive", "inconclusive"
+        if config.check_conditions:
+            conditions = spectral.ConditionReport(False, None, None, "inconclusive")
+    else:
+        depth = max(len(config.filter), config.condition_depth if config.check_conditions else 0)
+        x1, x2 = gnn.diag_powers(g1, depth), gnn.diag_powers(g2, depth)
+
+        s1, s2 = spectral._values_first(g1, x1), spectral._values_first(g2, x2)
+        witness = spectral.spectra_differ(s1, s2, config.tol)
+        spectral_verdict = "separable" if witness is not None else "inconclusive"
+
+        y1 = gnn._walk_readout(x1, config.filter, config.sigma)
+        y2 = gnn._walk_readout(x2, config.filter, config.sigma)
+        diag_same = embeddings_isomorphic(y1, y2, config.tol)
+        diag_verdict = "inconclusive" if diag_same else "separable"
+
+        if config.check_conditions:
+            d = config.condition_depth
+            conditions = spectral.check_separability_conditions(
+                s1, s2, x1[:, :d], x2[:, :d], config.tol
+            )
 
     separable = (
         wl_verdict == "distinguished"
@@ -194,21 +220,30 @@ class CslSpec:
     def __post_init__(self):
         seen = set()
         for r in self.skips:
-            if not 1 < r < self.n / 2:
-                raise InvalidSkipError(f"skip {r} outside 1 < R < n/2 = {self.n / 2}")
+            _check_skip(self.n, r)
             if r in seen:
                 raise InvalidSkipError(f"skip {r} listed twice")
             seen.add(r)
+        c = self.copies_per_class
+        if isinstance(c, bool) or not isinstance(c, (int, np.integer)) or c < 0:
+            raise ValueError(f"copies_per_class must be an integer >= 0, got {c!r}")
 
     @property
     def total_graphs(self) -> int:
         return len(self.skips) * self.copies_per_class
 
 
-def csl_base_graph(n: int, skip: int) -> Graph:
-    """Circulant on n nodes with cycle edges (i, i+1) and skips (i, i+skip)."""
+def _check_skip(n: int, skip) -> None:
+    """Raise InvalidSkipError unless skip is an integer with 1 < skip < n/2."""
+    if isinstance(skip, bool) or not isinstance(skip, (int, np.integer)):
+        raise InvalidSkipError(f"skip must be an integer, got {skip!r}")
     if not 1 < skip < n / 2:
         raise InvalidSkipError(f"skip {skip} outside 1 < R < n/2 = {n / 2}")
+
+
+def csl_base_graph(n: int, skip: int) -> Graph:
+    """Circulant on n nodes with cycle edges (i, i+1) and skips (i, i+skip)."""
+    _check_skip(n, skip)
     edges = set()
     for i in range(n):
         for step in (1, skip):

@@ -110,6 +110,9 @@ class StochasticConfig:
             raise ValueError(f"samples must be at least 1, got {self.samples}")
         if self.distribution not in ("gaussian", "rademacher"):
             raise ValueError(f"unknown distribution {self.distribution!r}")
+        seed = self.seed
+        if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+            raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
 
 
 def _horner(matvec, term, order: int):

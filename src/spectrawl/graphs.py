@@ -44,6 +44,14 @@ class TooLargeError(GraphError):
     """Input exceeds a combinatorial-search bound."""
 
 
+def _check_node_count(n) -> None:
+    """Raise GraphError unless n is an integer >= 1 (a bool is not)."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+        raise GraphError(f"node count must be an integer, got {n!r}")
+    if n < 1:
+        raise GraphError(f"node count must be positive, got {n}")
+
+
 class ParseError(GraphError):
     def __init__(self, line_no: int, message: str):
         super().__init__(f"line {line_no}: {message}")
@@ -64,8 +72,8 @@ class Graph:
     name: str | None = None
 
     def __post_init__(self):
-        if self.n < 1:
-            raise GraphError(f"node count must be positive, got {self.n}")
+        _check_node_count(self.n)
+        object.__setattr__(self, "n", int(self.n))
         a = np.asarray(self.adjacency, dtype=np.float64)
         if a.shape != (self.n, self.n):
             raise GraphError(f"adjacency shape {a.shape} does not match n={self.n}")
@@ -181,10 +189,10 @@ class GraphCorpusEntry:
 def from_edge_list(n: int, edges, name: str | None = None) -> Graph:
     """Build a graph from undirected edge pairs.
 
-    Raises SelfLoopError, DuplicateEdgeError, or EdgeIndexError on bad input.
+    Raises SelfLoopError, DuplicateEdgeError, or EdgeIndexError on bad input,
+    and GraphError unless n is an integer >= 1.
     """
-    if n <= 0:
-        raise GraphError(f"node count must be positive, got {n}")
+    _check_node_count(n)
     a = np.zeros((n, n))
     for u, v in edges:
         u, v = int(u), int(v)

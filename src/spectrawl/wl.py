@@ -100,20 +100,16 @@ def wl_refine(g: Graph, init: str = "uniform") -> WLColoring:
     return WLColoring(tuple(history), stable_at, tuple(sorted(history[-1])))
 
 
-def wl_distinguish(g1: Graph, g2: Graph, init: str = "uniform") -> str:
-    """Joint refinement verdict: "distinguished" or "indistinguishable".
+def _joint_refinement(g1: Graph, g2: Graph, init: str = "uniform"):
+    """Refine both graphs jointly; their two final colorings, or None once they differ.
 
     The relabeling is shared between the two graphs so color identifiers are
-    directly comparable; the verdict compares the sorted final color
-    multisets.
-
-    It returns "distinguished" as soon as the two color histograms differ:
-    first on the degree multisets, which are the histograms after one round
-    from the uniform init and are compared before any neighbor list is built,
-    then after every joint round. Refinement only splits classes, so a class
-    whose counts differ between the graphs always leaves a subclass whose
-    counts differ, and the final multisets would differ too: every verdict
-    is the one full refinement gives.
+    directly comparable. None comes as soon as the two color histograms
+    differ: first on the degree multisets, which are the histograms after one
+    round from the uniform init and are compared before any neighbor list is
+    built, then after every joint round. Refinement only splits classes, so a
+    class whose counts differ between the graphs always leaves a subclass
+    whose counts differ, and the final multisets would differ too.
     """
     colorings = [_initial_colors(g1, init), _initial_colors(g2, init)]
 
@@ -121,13 +117,50 @@ def wl_distinguish(g1: Graph, g2: Graph, init: str = "uniform") -> str:
         return np.array_equal(np.sort(a), np.sort(b))
 
     if not same_histogram(g1.degrees, g2.degrees):
-        return "distinguished"
+        return None
     nbrs = [_neighbor_lists(g1), _neighbor_lists(g2)]
     for _ in range(g1.n + g2.n + 1):
         colorings, changed = _refine_step(colorings, nbrs)
         if not (changed and same_histogram(*colorings)):
             break
-    return "indistinguishable" if same_histogram(*colorings) else "distinguished"
+    return colorings if same_histogram(*colorings) else None
+
+
+def _verified_map(g1: Graph, g2: Graph, colorings) -> np.ndarray | None:
+    """An isomorphism g1 -> g2 read off the colorings of _joint_refinement, or None.
+
+    mapping[v] is the image of node v. The candidate pairs the nodes of each
+    color in index order: node order1[i] of g1 maps to node order2[i] of g2,
+    where each order is a stable sort by color, and the equal histograms make
+    this a color-preserving bijection. A class of one node has one choice; a
+    larger class is paired arbitrarily, which is why the map is checked
+    before use. The check is exact: equal edge counts, and every edge of g1
+    lands on an edge of g2 (O(m) adjacency reads). A bijection that maps the
+    edges of g1 into an equally large edge set of g2 is an isomorphism. When
+    the graphs are isomorphic and every class is a single node, the candidate
+    is the one isomorphism, so it passes.
+    """
+    order1 = np.argsort(colorings[0], kind="stable")
+    order2 = np.argsort(colorings[1], kind="stable")
+    mapping = np.empty(g1.n, dtype=np.int64)
+    mapping[order1] = order2
+    (indptr1, indices1), (_, indices2) = g1.edge_index, g2.edge_index
+    if len(indices1) != len(indices2):
+        return None
+    rows = np.repeat(mapping, np.diff(indptr1))  # image of each edge's first node
+    if not np.all(g2.adjacency[rows, mapping[indices1]] == 1.0):
+        return None
+    return mapping
+
+
+def wl_distinguish(g1: Graph, g2: Graph, init: str = "uniform") -> str:
+    """Joint refinement verdict: "distinguished" or "indistinguishable".
+
+    The verdict compares the sorted final color multisets of a joint
+    refinement (`_joint_refinement`), which stops as soon as the histograms
+    differ; every verdict is the one full refinement gives.
+    """
+    return "distinguished" if _joint_refinement(g1, g2, init) is None else "indistinguishable"
 
 
 def wl_feature_matrix(g: Graph, depth: int) -> np.ndarray:

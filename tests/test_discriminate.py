@@ -6,6 +6,7 @@ from spectrawl import (
     CslSpec,
     DiscriminationReport,
     FilterParams,
+    Graph,
     LINEAR,
     PairConfig,
     Permutation,
@@ -31,7 +32,7 @@ from spectrawl import (
     spectra_differ,
     wl_distinguish,
 )
-from spectrawl import discriminate, gnn, spectral
+from spectrawl import discriminate, gnn, spectral, wl
 from spectrawl.discriminate import (
     ConfigError,
     ConvLayer,
@@ -231,6 +232,10 @@ def test_discriminate_condition_depth_must_be_positive(prism, k33, count_calls):
         ("condition_depth", {"condition_depth": 2.5}),
         ("condition_depth", {"condition_depth": True}),
         ("filter", {"filter": (1.0, 2.0)}),
+        ("check_conditions", {"check_conditions": "no"}),
+        ("check_conditions", {"check_conditions": 1}),
+        ("sigma", {"sigma": 5}),
+        ("sigma", {"sigma": "bogus"}),
     ],
 )
 def test_pair_config_rejects_bad_fields(field, kwargs):
@@ -268,6 +273,21 @@ def test_csl_spec_validation():
     with pytest.raises(InvalidSkipError):
         CslSpec(skips=(2, 3, 21))
     assert CslSpec().total_graphs == 150
+
+
+@pytest.mark.parametrize("skip", [2.5, 5.0, "5", True])
+def test_csl_skip_must_be_an_integer(skip):
+    with pytest.raises(InvalidSkipError, match="skip must be an integer"):
+        csl_base_graph(41, skip)
+    with pytest.raises(InvalidSkipError, match="skip must be an integer"):
+        CslSpec(skips=(2, skip))
+
+
+@pytest.mark.parametrize("copies", [-1, 2.5])
+def test_csl_spec_rejects_bad_copies_per_class(copies):
+    with pytest.raises(ValueError, match="copies_per_class"):
+        CslSpec(copies_per_class=copies)
+    assert CslSpec(copies_per_class=0).total_graphs == 0
 
 
 def test_csl_generate_structure():
@@ -445,3 +465,77 @@ def test_spectral_verdicts_confirmed_by_oracle():
         g2 = erdos_renyi(10, 0.3, rng)
         if spectra_differ(g1, g2) is not None:
             assert not is_isomorphic_bruteforce(g1, g2)
+
+
+_CERTIFIED_CONFIGS = (
+    PairConfig(),
+    PairConfig(check_conditions=True),
+    PairConfig(filter=CSL_FILTER, sigma=LINEAR, check_conditions=True, condition_depth=4),
+)
+
+
+def _relabeled_sparse_pairs():
+    rng = np.random.default_rng(101)
+    pairs = []
+    for n in (30, 120, 400):
+        g = erdos_renyi(n, 8 / n, rng)
+        pairs.append((g, apply_permutation(g, Permutation.random(n, rng))))
+    return pairs
+
+
+def _dense_relabeled_circulant(n=400):
+    """Circulant with each jump 1..n/2 kept with probability 0.5, and a relabeled copy."""
+    rng = np.random.default_rng(1)
+    a = np.zeros((n, n))
+    i = np.arange(n)
+    for jump in np.flatnonzero(rng.random(n // 2) < 0.5) + 1:
+        a[i, (i + jump) % n] = a[(i + jump) % n, i] = 1.0
+    g = Graph(n, a, f"circulant-{n}")
+    return g, apply_permutation(g, Permutation.random(n, rng))
+
+
+def _force_full_path(monkeypatch):
+    monkeypatch.setattr(wl, "_verified_map", lambda g1, g2, colorings: None)
+
+
+def test_certified_pair_builds_one_ladder_and_no_spectrum(count_calls):
+    values = count_calls(spectral, "_values_first")
+    eigvalsh = count_calls(np.linalg, "eigvalsh")
+    walks = count_calls(gnn, "diag_powers")
+    for g1, g2 in _relabeled_sparse_pairs():
+        for config in _CERTIFIED_CONFIGS:
+            del walks[:]
+            report = discriminate_pair(g1, g2, config)
+            assert report.overall == "inconclusive"
+            assert [(args[0], args[1]) for args in walks] == [(g1, len(config.filter))]
+            assert walks[0][0] is g1
+    assert values == [] and eigvalsh == []
+
+
+def test_certified_reports_match_the_full_path(monkeypatch):
+    pairs = _relabeled_sparse_pairs()
+    reports = [discriminate_pair(g1, g2, c).to_json() for g1, g2 in pairs for c in _CERTIFIED_CONFIGS]
+    _force_full_path(monkeypatch)
+    assert [discriminate_pair(g1, g2, c).to_json() for g1, g2 in pairs for c in _CERTIFIED_CONFIGS] == reports
+
+
+def test_uncertified_pairs_take_the_full_path(count_calls, monkeypatch, prism, k33):
+    rng = np.random.default_rng(103)
+    pairs = [(prism, k33), (prism, apply_permutation(prism, Permutation((3, 5, 0, 4, 1, 2))))]
+    for r in (2, 5, 9):
+        base = csl_base_graph(41, r)
+        pairs.append((base, apply_permutation(base, Permutation.random(41, rng))))
+    pairs.append((csl_base_graph(41, 2), csl_base_graph(41, 3)))
+    # vertex-transitive, so the candidate map is the identity and fails; its
+    # walk counts pass 2^53
+    pairs.append(_dense_relabeled_circulant())
+    config = PairConfig(check_conditions=True)
+    values = count_calls(spectral, "_values_first")
+    reports = []
+    for g1, g2 in pairs:
+        assert wl._verified_map(g1, g2, wl._joint_refinement(g1, g2)) is None
+        del values[:]
+        reports.append(discriminate_pair(g1, g2, config).to_json())
+        assert [args[0] for args in values] == [g1, g2]
+    _force_full_path(monkeypatch)
+    assert [discriminate_pair(g1, g2, config).to_json() for g1, g2 in pairs] == reports

@@ -470,6 +470,9 @@ def test_stochastic_variance_matches_horner_path(name, h, distribution):
         ("variance", {"variance": 0.0}),
         ("samples", {"samples": 2.5}),
         ("samples", {"samples": 0}),
+        ("seed", {"seed": 1.5}),
+        ("seed", {"seed": -1}),
+        ("seed", {"seed": True}),
     ],
 )
 def test_stochastic_config_rejects_bad_fields(field, kwargs):

@@ -53,6 +53,19 @@ def test_empty_graph_is_rejected():
         Graph(0, np.zeros((0, 0)))
 
 
+@pytest.mark.parametrize("n", [6.0, 2.5, True, "6", None])
+def test_node_count_must_be_an_integer(n):
+    with pytest.raises(GraphError, match="node count must be an integer"):
+        Graph(n, np.zeros((6, 6)))
+    with pytest.raises(GraphError, match="node count must be an integer"):
+        from_edge_list(n, [])
+
+
+def test_numpy_integer_node_count_is_stored_as_int():
+    g = Graph(np.int64(3), np.zeros((3, 3)))
+    assert type(g.n) is int and g == from_edge_list(np.int32(3), [])
+
+
 def test_adjacency_is_immutable(prism):
     with pytest.raises(ValueError):
         prism.adjacency[0, 0] = 1.0

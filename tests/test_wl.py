@@ -301,3 +301,55 @@ def test_differing_degrees_build_no_neighbor_lists(count_calls, prism):
     # equal degree multisets do refine
     assert wl_distinguish(prism, apply_permutation(prism, Permutation.random(6, rng))) == "indistinguishable"
     assert len(built) == 2
+
+
+def _certificate(g1, g2):
+    colorings = wl._joint_refinement(g1, g2)
+    return None if colorings is None else wl._verified_map(g1, g2, colorings)
+
+
+def test_verified_map_is_an_isomorphism(prism, k33, bihexagon, bipentagon):
+    rng = np.random.default_rng(89)
+    pairs = [(g, h) for g, h, _ in random_graph_pairs(150, n_max=8, seed=89)]
+    for _ in range(300):
+        n, p = int(rng.integers(3, 9)), float(rng.uniform(0.2, 0.6))
+        pairs.append((erdos_renyi(n, p, rng), erdos_renyi(n, p, rng)))
+    hexagon = from_edge_list(6, [(i, (i + 1) % 6) for i in range(6)])
+    triangles = from_edge_list(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+    # equal colorings without an isomorphism, and a vertex-transitive relabeling
+    pairs += [(prism, k33), (hexagon, triangles), (bihexagon, bipentagon)]
+    pairs.append((prism, apply_permutation(prism, Permutation((3, 5, 0, 4, 1, 2)))))
+    certified = uncertified_isomorphic = 0
+    for g1, g2 in pairs:
+        mapping = _certificate(g1, g2)
+        if mapping is None:
+            uncertified_isomorphic += g1.n == g2.n and is_isomorphic_bruteforce(g1, g2)
+            continue
+        assert is_isomorphic_bruteforce(g1, g2)
+        assert apply_permutation(g1, Permutation(tuple(mapping))) == g2
+        certified += 1
+    assert certified > 100 and uncertified_isomorphic > 0
+
+
+def test_discrete_coloring_is_always_certified():
+    rng = np.random.default_rng(97)
+    discrete = 0
+    for _ in range(60):
+        n = int(rng.integers(10, 80))
+        g = erdos_renyi(n, float(rng.uniform(0.1, 0.5)), rng)
+        perm = Permutation.random(n, rng)
+        if wl_refine(g).num_classes < n:
+            continue
+        discrete += 1
+        # a discrete coloring leaves one candidate, the relabeling itself
+        assert _certificate(g, apply_permutation(g, perm)).tolist() == list(perm.mapping)
+    assert discrete >= 30
+
+
+def test_verified_map_needs_equal_edge_counts():
+    path = from_edge_list(3, [(0, 1), (1, 2)])
+    triangle = from_edge_list(3, [(0, 1), (1, 2), (0, 2)])
+    uniform = [np.zeros(3, dtype=np.int64)] * 2
+    # every edge of the path lands on an edge of the triangle, one is left over
+    assert wl._verified_map(path, triangle, uniform) is None
+    assert wl._verified_map(triangle, triangle, uniform).tolist() == [0, 1, 2]
