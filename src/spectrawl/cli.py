@@ -54,38 +54,26 @@ def load_config(path: str | None) -> dict:
     return cfg
 
 
-def _setting(args, cfg: dict, key: str, default):
-    value = getattr(args, key, None)
-    if value is not None:
-        return value
-    return cfg.get(key, default)
-
-
 def _parse_filter(text) -> FilterParams:
     if isinstance(text, (list, tuple)):
         return FilterParams(tuple(float(x) for x in text))
     return FilterParams(tuple(float(tok) for tok in str(text).split(",")))
 
 
-def _pair_config(args, cfg: dict) -> discriminate.PairConfig:
-    filt = _setting(args, cfg, "filter", None)
-    sigma = _setting(args, cfg, "sigma", "relu")
-    tol = _setting(args, cfg, "tol", 1e-6)
-    return discriminate.PairConfig(
-        filter=_parse_filter(filt) if filt is not None else discriminate.PAIR_FILTER,
-        sigma=gnn.as_nonlinearity(sigma),
-        tol=float(tol),
-    )
+def _settings(args, cfg: dict, *keys: str) -> dict:
+    """The keys that a flag or the config file sets, a flag first.
 
-
-def _csl_spec(cfg: dict, seed=None) -> discriminate.CslSpec:
-    raw = cfg.get("csl", {})
-    return discriminate.CslSpec(
-        n=int(raw.get("n", 41)),
-        skips=tuple(raw.get("skips", discriminate.DEFAULT_CSL_SKIPS)),
-        copies_per_class=int(raw.get("copies_per_class", 15)),
-        seed=int(seed if seed is not None else raw.get("seed", 0)),
-    )
+    Values go to the library as given (a filter parsed to FilterParams), so it
+    checks them and defaults every key left out.
+    """
+    given = {}
+    for key in keys:
+        value = getattr(args, key, None)
+        if value is None:
+            value = cfg.get(key)
+        if value is not None:
+            given[key] = _parse_filter(value) if key == "filter" else value
+    return given
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -120,8 +108,7 @@ def cmd_spectral(args, cfg: dict) -> int:
     code = 0
     if args.graph2 is not None:
         g2 = resolve_graph(args.graph2)
-        tol = float(_setting(args, cfg, "tol", 1e-6))
-        witness = spectral.spectra_differ(s1, g2, tol)
+        witness = spectral.spectra_differ(s1, g2, **_settings(args, cfg, "tol"))
         if witness is None:
             lines.append("spectra match: no witness")
             code = 1
@@ -133,9 +120,8 @@ def cmd_spectral(args, cfg: dict) -> int:
 
 def cmd_features(args, cfg: dict) -> int:
     g = resolve_graph(args.graph)
-    depth = int(_setting(args, cfg, "depth", 10))
-    x = gnn.diag_powers(g, depth)
-    lines = [",".join(f"k{k}" for k in range(depth))]
+    x = gnn.diag_powers(g, **_settings(args, cfg, "depth"))
+    lines = [",".join(f"k{k}" for k in range(x.shape[1]))]
     lines += [",".join(_fmt(v) for v in row) for row in x]
     _emit("\n".join(lines), args.out or cfg.get("out"))
     return 0
@@ -144,9 +130,8 @@ def cmd_features(args, cfg: dict) -> int:
 def cmd_discriminate(args, cfg: dict) -> int:
     g1 = resolve_graph(args.graph)
     g2 = resolve_graph(args.graph2)
-    config = _pair_config(args, cfg)
-    fmt = _setting(args, cfg, "format", "json")
-    if fmt == "csv":
+    config = discriminate.PairConfig(**_settings(args, cfg, "filter", "sigma", "tol"))
+    if (args.format or cfg.get("format")) == "csv":
         summary = discriminate.run_benchmark([(g1, g2)], config)
         if summary.rows[0].error is not None:  # a failure, not an unseparated pair
             print(f"error: {summary.rows[0].error}", file=sys.stderr)
@@ -159,7 +144,8 @@ def cmd_discriminate(args, cfg: dict) -> int:
 
 
 def cmd_csl(args, cfg: dict) -> int:
-    spec = _csl_spec(cfg, seed=args.seed)
+    raw = cfg.get("csl", {})
+    spec = discriminate.CslSpec(**_settings(args, raw, "n", "skips", "copies_per_class", "seed"))
     if args.generate:
         os.makedirs(args.generate, exist_ok=True)
         dataset = discriminate.csl_generate(spec)
@@ -196,14 +182,9 @@ def cmd_reproduce(args, cfg: dict) -> int:
 
 def cmd_stochastic(args, cfg: dict) -> int:
     g = resolve_graph(args.graph)
-    filt = _setting(args, cfg, "filter", None)
-    h = _parse_filter(filt) if filt is not None else discriminate.PAIR_FILTER
-    scfg = StochasticConfig(
-        variance=float(_setting(args, cfg, "variance", 1.0)),
-        samples=int(_setting(args, cfg, "samples", 100_000)),
-        seed=int(_setting(args, cfg, "seed", 0)),
-        distribution=str(_setting(args, cfg, "distribution", "gaussian")),
-    )
+    given = _settings(args, cfg, "filter", "variance", "samples", "seed", "distribution")
+    h = given.pop("filter", discriminate.PAIR_FILTER)
+    scfg = StochasticConfig(**given)
     estimate, stderr = gnn.stochastic_variance(g, h, scfg)
     closed = gnn.diagonal_module(g, gnn.self_convolve(h, scfg.variance), gnn.LINEAR)
     worst = float(np.max(np.abs(estimate - closed) / np.maximum(stderr, 1e-300)))

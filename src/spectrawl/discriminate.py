@@ -16,7 +16,7 @@ import numpy as np
 
 from . import gnn, spectral, wl
 from .gnn import FilterParams, Nonlinearity
-from .graphs import Graph, from_edge_list
+from .graphs import Graph, _check_int, from_edge_list
 from .spectral import embeddings_isomorphic
 
 
@@ -55,9 +55,7 @@ class PairConfig:
             raise ConfigError(f"sigma must be a Nonlinearity or its name: {exc}") from None
         if not isinstance(self.check_conditions, (bool, np.bool_)):
             raise ConfigError(f"check_conditions must be a bool, got {self.check_conditions!r}")
-        depth = self.condition_depth
-        if isinstance(depth, bool) or not isinstance(depth, (int, np.integer)) or depth < 1:
-            raise ConfigError(f"condition_depth must be an integer >= 1, got {depth!r}")
+        _check_int(self.condition_depth, "condition_depth", 1, ConfigError)
 
 
 @dataclass(frozen=True)
@@ -218,15 +216,15 @@ class CslSpec:
     seed: int = 0
 
     def __post_init__(self):
+        _check_int(self.n, "n", 1)
         seen = set()
         for r in self.skips:
             _check_skip(self.n, r)
             if r in seen:
                 raise InvalidSkipError(f"skip {r} listed twice")
             seen.add(r)
-        c = self.copies_per_class
-        if isinstance(c, bool) or not isinstance(c, (int, np.integer)) or c < 0:
-            raise ValueError(f"copies_per_class must be an integer >= 0, got {c!r}")
+        _check_int(self.copies_per_class, "copies_per_class", 0)
+        _check_int(self.seed, "seed", 0)
 
     @property
     def total_graphs(self) -> int:
@@ -235,9 +233,7 @@ class CslSpec:
 
 def _check_skip(n: int, skip) -> None:
     """Raise InvalidSkipError unless skip is an integer with 1 < skip < n/2."""
-    if isinstance(skip, bool) or not isinstance(skip, (int, np.integer)):
-        raise InvalidSkipError(f"skip must be an integer, got {skip!r}")
-    if not 1 < skip < n / 2:
+    if _check_int(skip, "skip", 2, InvalidSkipError) >= n / 2:
         raise InvalidSkipError(f"skip {skip} outside 1 < R < n/2 = {n / 2}")
 
 

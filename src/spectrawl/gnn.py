@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .graphs import Graph, TooLargeError
+from .graphs import Graph, TooLargeError, _check_int, _check_positive
 
 if TYPE_CHECKING:  # pragma: no cover
     from .spectral import Spectrum
@@ -102,17 +102,11 @@ class StochasticConfig:
     distribution: str = "gaussian"
 
     def __post_init__(self):
-        if not (np.isfinite(self.variance) and self.variance > 0):
-            raise ValueError(f"variance must be positive and finite, got {self.variance!r}")
-        if not isinstance(self.samples, (int, np.integer)):
-            raise ValueError(f"samples must be an integer, got {self.samples!r}")
-        if self.samples < 1:
-            raise ValueError(f"samples must be at least 1, got {self.samples}")
+        _check_positive(self.variance, "variance")
+        _check_int(self.samples, "samples", 1)
         if self.distribution not in ("gaussian", "rademacher"):
             raise ValueError(f"unknown distribution {self.distribution!r}")
-        seed = self.seed
-        if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
-            raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
+        _check_int(self.seed, "seed", 0)
 
 
 def _horner(matvec, term, order: int):
@@ -162,14 +156,6 @@ def gnn_layer(g: Graph, x: np.ndarray, taps, sigma=LINEAR) -> np.ndarray:
                 f"tap expects {hk.shape[0]} input features, got {x.shape[1]}"
             )
     return sigma(_horner(lambda acc: g.adjacency @ acc, lambda k: x @ hs[k], len(hs)))
-
-
-def _check_depth(depth) -> None:
-    """Raise ValueError naming depth unless it is an integer >= 1 (a bool is not)."""
-    if isinstance(depth, bool) or not isinstance(depth, (int, np.integer)):
-        raise ValueError(f"depth must be an integer, got {depth!r}")
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
 
 
 #: rows of S^5 that diag_powers forms at a time by BLAS
@@ -262,7 +248,7 @@ def diag_powers(g: Graph, depth: int = 10) -> np.ndarray:
     whose two chunk buffers take the rest), so no more than two n x n powers
     are alive besides S at any depth.
     """
-    _check_depth(depth)
+    depth = _check_int(depth, "depth", 1)
     s = g.adjacency
     out = np.empty((g.n, depth))
     out[:, 0] = 1.0
@@ -318,11 +304,14 @@ def closed_walk_count(g: Graph, v: int, k: int, *, max_n: int = 12, max_k: int =
 
     Independent oracle for diag(S^k): walks are enumerated over the adjacency
     list with revisits allowed, never through matrix arithmetic. Exponential,
-    hence the (n, k) caps.
+    hence the (n, k) caps. ValueError unless k is an integer >= 0 and v a
+    node index.
     """
+    k = _check_int(k, "walk length k", 0)
     if g.n > max_n or k > max_k:
         raise TooLargeError(f"enumeration bound exceeded (n={g.n} > {max_n} or k={k} > {max_k})")
-    if not 0 <= v < g.n:
+    v = _check_int(v, "node v", 0)
+    if v >= g.n:
         raise ValueError(f"node {v} out of range")
     nbrs = [g.neighbors(i).tolist() for i in range(g.n)]
 

@@ -7,6 +7,7 @@ all operations are pure, so values can be shared freely across threads.
 
 from __future__ import annotations
 
+import numbers
 import operator
 import os
 from dataclasses import dataclass
@@ -44,12 +45,28 @@ class TooLargeError(GraphError):
     """Input exceeds a combinatorial-search bound."""
 
 
-def _check_node_count(n) -> None:
-    """Raise GraphError unless n is an integer >= 1 (a bool is not)."""
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
-        raise GraphError(f"node count must be an integer, got {n!r}")
-    if n < 1:
-        raise GraphError(f"node count must be positive, got {n}")
+def _check_int(value, name: str, minimum: int, error: type[Exception] = ValueError) -> int:
+    """value as an int; raise error naming name unless it is an integer >= minimum.
+
+    A numpy integer is an integer; a bool is not. For minimum 1 the message
+    reads "must be positive".
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise error(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        bound = "positive" if minimum == 1 else f">= {minimum}"
+        raise error(f"{name} must be {bound}, got {value}")
+    return int(value)
+
+
+def _check_positive(value, name: str) -> float:
+    """value as a float; raise ValueError naming name unless it is a finite real > 0.
+
+    A bool is not a real here, and neither is a numeric string.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0 < value < np.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
+    return float(value)
 
 
 class ParseError(GraphError):
@@ -72,8 +89,7 @@ class Graph:
     name: str | None = None
 
     def __post_init__(self):
-        _check_node_count(self.n)
-        object.__setattr__(self, "n", int(self.n))
+        object.__setattr__(self, "n", _check_int(self.n, "node count", 1, GraphError))
         a = np.asarray(self.adjacency, dtype=np.float64)
         if a.shape != (self.n, self.n):
             raise GraphError(f"adjacency shape {a.shape} does not match n={self.n}")
@@ -164,6 +180,8 @@ class Permutation:
 
     @staticmethod
     def random(n: int, rng: np.random.Generator) -> "Permutation":
+        """Uniform random permutation of {0..n-1}; GraphError unless n is an integer >= 0."""
+        n = _check_int(n, "node count", 0, GraphError)
         return Permutation(tuple(rng.permutation(n).tolist()))
 
     def compose(self, inner: "Permutation") -> "Permutation":
@@ -192,7 +210,7 @@ def from_edge_list(n: int, edges, name: str | None = None) -> Graph:
     Raises SelfLoopError, DuplicateEdgeError, or EdgeIndexError on bad input,
     and GraphError unless n is an integer >= 1.
     """
-    _check_node_count(n)
+    n = _check_int(n, "node count", 1, GraphError)
     a = np.zeros((n, n))
     for u, v in edges:
         u, v = int(u), int(v)
@@ -304,7 +322,11 @@ def corpus_graph(key: str) -> Graph:
 
 
 def erdos_renyi(n: int, p: float, rng: np.random.Generator, name: str | None = None) -> Graph:
-    """G(n, p) sample; handy for randomized cross-checks."""
+    """G(n, p) sample; handy for randomized cross-checks.
+
+    Raises GraphError unless n is an integer >= 1, before any sampling.
+    """
+    n = _check_int(n, "node count", 1, GraphError)
     upper = rng.random((n, n)) < p
     a = np.triu(upper, k=1)
     a = (a | a.T).astype(np.float64)

@@ -20,7 +20,7 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from .gnn import DimensionMismatchError, FilterParams, graph_filter
-from .graphs import Graph
+from .graphs import Graph, _check_positive
 
 EPS_RESID = 1e-9
 EPS_ORTH = 1e-9
@@ -308,9 +308,8 @@ def spectra_differ(g1: Graph | Spectrum, g2: Graph | Spectrum, tol: float = 1e-6
 
 
 def _check_tol(tol: float) -> None:
-    """Raise ValueError unless 0 < tol < inf; every comparison tolerance passes here."""
-    if not 0 < tol < np.inf:
-        raise ValueError(f"tolerance must be positive and finite, got {tol}")
+    """Raise ValueError unless tol is a finite real > 0; every comparison tolerance passes here."""
+    _check_positive(tol, "tolerance")
 
 
 def _unmatched_groups(a: Spectrum, b: Spectrum, tol: float):

@@ -12,8 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import gnn
-from .graphs import Graph
+from .graphs import Graph, _check_int
 
 
 @dataclass(frozen=True, eq=False)
@@ -170,7 +169,7 @@ def wl_feature_matrix(g: Graph, depth: int) -> np.ndarray:
     collision-free; on regular graphs every column is constant, which is the
     whole failure mode.
     """
-    gnn._check_depth(depth)
+    depth = _check_int(depth, "depth", 1)
     out = np.empty((g.n, depth))
     x = np.ones(g.n)
     for k in range(depth):

@@ -184,6 +184,27 @@ def test_config_file_and_flag_override(capsys, tmp_path):
     assert doc["diag_gnn"]["outputs"][0][0] == 2.0  # flag beats config file
 
 
+@pytest.mark.parametrize(
+    "config, argv, word",
+    [
+        ({"tol": [1]}, ("discriminate", "prism", "k33"), "tolerance"),
+        ({"tol": "1e-3"}, ("discriminate", "prism", "k33"), "tolerance"),
+        ({"samples": [5]}, ("stochastic", "prism"), "samples"),
+        ({"seed": 1.5}, ("stochastic", "prism", "--samples", "2000"), "seed"),
+        ({"depth": [1]}, ("features", "prism"), "depth"),
+    ],
+    ids=["tol-list", "tol-string", "samples-list", "seed-float", "depth-list"],
+)
+def test_malformed_config_value_is_a_usage_error(capsys, tmp_path, config, argv, word):
+    # config values reach the library as JSON gives them; exit 1 would read as an unseparated pair
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    code, out, err = run(capsys, "--config", str(cfg), *argv)
+    assert code == 2
+    assert err.startswith("error:") and word in err
+    assert out == ""
+
+
 def test_config_env_var(capsys, tmp_path, monkeypatch):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"filter": [3.0], "sigma": "linear"}))

@@ -91,7 +91,7 @@ def test_embeddings_isomorphic_row_count_mismatch():
     assert not embeddings_isomorphic(np.ones((3, 1)), np.ones((4, 1)))
 
 
-@pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
+@pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf"), True, "x", [1]])
 def test_embeddings_isomorphic_rejects_bad_tolerance(tol):
     with pytest.raises(ValueError, match="tolerance"):
         embeddings_isomorphic(np.ones((3, 1)), np.ones((3, 1)), tol)
@@ -243,7 +243,7 @@ def test_pair_config_rejects_bad_fields(field, kwargs):
         PairConfig(**kwargs)
 
 
-@pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
+@pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf"), True, "x", [1]])
 def test_pair_config_rejects_bad_tolerance(tol):
     with pytest.raises(ValueError, match="tolerance"):
         PairConfig(tol=tol)

@@ -473,6 +473,10 @@ def test_stochastic_variance_matches_horner_path(name, h, distribution):
         ("seed", {"seed": 1.5}),
         ("seed", {"seed": -1}),
         ("seed", {"seed": True}),
+        ("variance", {"variance": True}),
+        ("variance", {"variance": "1"}),
+        ("variance", {"variance": [1]}),
+        ("samples", {"samples": True}),
     ],
 )
 def test_stochastic_config_rejects_bad_fields(field, kwargs):

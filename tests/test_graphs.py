@@ -15,6 +15,8 @@ from spectrawl import (
     load_graph,
     save_graph,
 )
+from spectrawl.discriminate import CslSpec, InvalidSkipError, csl_base_graph
+from spectrawl.gnn import closed_walk_count
 from spectrawl.graphs import (
     DuplicateEdgeError,
     EdgeIndexError,
@@ -59,6 +61,33 @@ def test_node_count_must_be_an_integer(n):
         Graph(n, np.zeros((6, 6)))
     with pytest.raises(GraphError, match="node count must be an integer"):
         from_edge_list(n, [])
+
+
+def test_entry_points_reject_bad_integers_naming_the_parameter(prism):
+    """Each integer input raises its entry point's error type, and the message starts with its name."""
+    rng = np.random.default_rng(0)
+    table = [
+        (lambda x: erdos_renyi(x, 0.5, rng), GraphError, "node count"),
+        (lambda x: Permutation.random(x, rng), GraphError, "node count"),
+        (lambda x: closed_walk_count(prism, 0, x), ValueError, "walk length k"),
+        (lambda x: closed_walk_count(prism, x, 2), ValueError, "node v"),
+        (lambda x: CslSpec(n=x, skips=()), ValueError, "n"),
+        (lambda x: CslSpec(seed=x), ValueError, "seed"),
+        (lambda x: CslSpec(copies_per_class=x), ValueError, "copies_per_class"),
+        (lambda x: csl_base_graph(41, x), InvalidSkipError, "skip"),
+    ]
+    wrong = []
+    for call, error, name in table:
+        for value in (True, 2.5, -1, "3", [1]):
+            try:
+                call(value)
+                wrong.append((name, value, "accepted"))
+            except error as exc:
+                if not str(exc).startswith(f"{name} must be"):
+                    wrong.append((name, value, str(exc)))
+            except Exception as exc:  # any other type breaks the documented contract
+                wrong.append((name, value, repr(exc)))
+    assert wrong == []
 
 
 def test_numpy_integer_node_count_is_stored_as_int():

@@ -155,7 +155,7 @@ def test_spectra_differ_size_mismatch_is_witness(prism):
     assert spectra_differ(eigendecompose(prism), eigendecompose(p3)) == spectra_differ(prism, p3)
 
 
-@pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
+@pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf"), True, "x", [1]])
 def test_spectral_matching_rejects_bad_tolerance(prism, tol):
     # with no tolerance check, no group matches and a graph separates from itself
     with pytest.raises(ValueError, match="tolerance"):
