@@ -55,9 +55,7 @@ def load_config(path: str | None) -> dict:
 
 
 def _parse_filter(text) -> FilterParams:
-    if isinstance(text, (list, tuple)):
-        return FilterParams(tuple(float(x) for x in text))
-    return FilterParams(tuple(float(tok) for tok in str(text).split(",")))
+    return FilterParams(text if isinstance(text, (list, tuple)) else str(text).split(","))
 
 
 def _settings(args, cfg: dict, *keys: str) -> dict:

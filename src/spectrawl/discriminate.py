@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -70,27 +70,16 @@ class DiscriminationReport:
     overall: str                             # "separable" | "inconclusive"
 
     def to_dict(self) -> dict:
-        t1 = None
-        if self.conditions is not None:
-            t1 = {
-                "cond1_signals_differ": self.conditions.cond1_signals_differ,
-                "cond2_witness": list(self.conditions.cond2_witness)
-                if self.conditions.cond2_witness
-                else None,
-                "cond3_witness": list(self.conditions.cond3_witness)
-                if self.conditions.cond3_witness
-                else None,
-                "verdict": self.conditions.verdict,
-            }
+        # one key per ConditionReport field, each witness tuple a JSON list
+        conditions = None if self.conditions is None else {
+            k: list(v) if isinstance(v, tuple) else v for k, v in asdict(self.conditions).items()
+        }
         return {
             "pair": list(self.pair),
             "wl": self.wl,
             "spectral": {"verdict": self.spectral_verdict, "witness": self.spectral_witness},
-            "diag_gnn": {
-                "verdict": self.diag_verdict,
-                "outputs": [list(self.diag_outputs[0]), list(self.diag_outputs[1])],
-            },
-            "conditions": t1,
+            "diag_gnn": {"verdict": self.diag_verdict, "outputs": [list(y) for y in self.diag_outputs]},
+            "conditions": conditions,
             "overall": self.overall,
         }
 
@@ -99,26 +88,19 @@ class DiscriminationReport:
 
     @staticmethod
     def from_dict(d: dict) -> "DiscriminationReport":
-        t1 = None
-        if d.get("conditions") is not None:
-            raw = d["conditions"]
-            t1 = spectral.ConditionReport(
-                raw["cond1_signals_differ"],
-                tuple(raw["cond2_witness"]) if raw["cond2_witness"] else None,
-                tuple(raw["cond3_witness"]) if raw["cond3_witness"] else None,
-                raw["verdict"],
-            )
+        raw = d.get("conditions")
+        conditions = None if raw is None else spectral.ConditionReport(**{
+            f.name: tuple(raw[f.name]) if isinstance(raw[f.name], list) else raw[f.name]
+            for f in fields(spectral.ConditionReport)
+        })
         return DiscriminationReport(
             pair=tuple(d["pair"]),
             wl=d["wl"],
             spectral_verdict=d["spectral"]["verdict"],
             spectral_witness=d["spectral"]["witness"],
             diag_verdict=d["diag_gnn"]["verdict"],
-            diag_outputs=(
-                tuple(d["diag_gnn"]["outputs"][0]),
-                tuple(d["diag_gnn"]["outputs"][1]),
-            ),
-            conditions=t1,
+            diag_outputs=tuple(tuple(y) for y in d["diag_gnn"]["outputs"]),
+            conditions=conditions,
             overall=d["overall"],
         )
 
@@ -217,12 +199,14 @@ class CslSpec:
 
     def __post_init__(self):
         _check_int(self.n, "n", 1)
-        seen = set()
-        for r in self.skips:
+        try:
+            object.__setattr__(self, "skips", tuple(self.skips))
+        except TypeError:
+            raise InvalidSkipError(f"skips must be a sequence of integers, got {self.skips!r}") from None
+        for i, r in enumerate(self.skips):
             _check_skip(self.n, r)
-            if r in seen:
+            if r in self.skips[:i]:
                 raise InvalidSkipError(f"skip {r} listed twice")
-            seen.add(r)
         _check_int(self.copies_per_class, "copies_per_class", 0)
         _check_int(self.seed, "seed", 0)
 
@@ -239,13 +223,9 @@ def _check_skip(n: int, skip) -> None:
 
 def csl_base_graph(n: int, skip: int) -> Graph:
     """Circulant on n nodes with cycle edges (i, i+1) and skips (i, i+skip)."""
-    _check_skip(n, skip)
-    edges = set()
-    for i in range(n):
-        for step in (1, skip):
-            u, v = i, (i + step) % n
-            edges.add((min(u, v), max(u, v)))
-    return from_edge_list(n, sorted(edges), name=f"csl-{n}-{skip}")
+    _check_skip(n, skip)  # 1 < skip < n/2, so the 2n edges are distinct
+    edges = [(i, (i + step) % n) for i in range(n) for step in (1, skip)]
+    return from_edge_list(n, edges, name=f"csl-{n}-{skip}")
 
 
 def csl_generate(spec: CslSpec = CslSpec()) -> list[tuple[Graph, int]]:
@@ -318,12 +298,8 @@ class ConvLayer:
 
 def selector_diag_layer(depth: int, sigma: Nonlinearity = gnn.LINEAR) -> DiagLayer:
     """DiagLayer whose k-th filter selects diag(S^k); output = closed-walk features."""
-    filters = []
-    for k in range(depth):
-        coeffs = [0.0] * depth
-        coeffs[k] = 1.0
-        filters.append(FilterParams(tuple(coeffs)))
-    return DiagLayer(tuple(filters), sigma)
+    rows = np.eye(_check_int(depth, "depth", 1))
+    return DiagLayer(tuple(FilterParams(row) for row in rows), sigma)
 
 
 def anonymous_embed(g: Graph, layers) -> np.ndarray:
@@ -387,13 +363,8 @@ class BenchmarkSummary:
     def to_csv(self) -> str:
         lines = ["pair,wl,spectral,diag,overall,millis"]
         for r in self.rows:
-            pair = f"{r.pair[0]}|{r.pair[1]}"
-            if r.error is not None:
-                lines.append(f"{pair},error,error,error,error,{r.millis:.3f}")
-            else:
-                lines.append(
-                    f"{pair},{r.wl},{r.spectral},{r.diag},{r.overall},{r.millis:.3f}"
-                )
+            verdicts = ["error"] * 4 if r.error is not None else [r.wl, r.spectral, r.diag, r.overall]
+            lines.append(",".join([f"{r.pair[0]}|{r.pair[1]}", *verdicts, f"{r.millis:.3f}"]))
         return "\n".join(lines) + "\n"
 
 

@@ -31,7 +31,10 @@ class FilterParams:
     coeffs: tuple[float, ...]
 
     def __post_init__(self):
-        c = tuple(float(x) for x in self.coeffs)
+        try:
+            c = tuple(float(x) for x in self.coeffs)
+        except (TypeError, ValueError):
+            raise ValueError(f"filter coefficients must be real numbers, got {self.coeffs!r}") from None
         if len(c) < 1:
             raise ValueError("filter needs at least one coefficient")
         if not all(np.isfinite(c)):

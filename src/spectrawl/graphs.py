@@ -191,10 +191,7 @@ class Permutation:
         return Permutation(tuple(self.mapping[j] for j in inner.mapping))
 
     def inverse(self) -> "Permutation":
-        inv = [0] * len(self)
-        for i, j in enumerate(self.mapping):
-            inv[j] = i
-        return Permutation(tuple(inv))
+        return Permutation(tuple(np.argsort(self.mapping).tolist()))
 
 
 @dataclass(frozen=True)

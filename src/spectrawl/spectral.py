@@ -446,13 +446,14 @@ def isolating_filter(mus, target: int, tol: float | None = None) -> FilterParams
     if not 0 <= target < len(mus):
         raise IndexError(f"target {target} out of range for {len(mus)} nodes")
     if tol is None:
-        tol = 1e-6 * max(1.0, max(abs(m) for m in mus))
-    for i in range(len(mus)):
-        for j in range(i + 1, len(mus)):
-            if abs(mus[i] - mus[j]) <= tol:
-                raise DegenerateNodesError(
-                    f"nodes {mus[i]} and {mus[j]} closer than {tol}"
-                )
+        tol = default_group_tol(np.asarray(mus))
+    else:
+        _check_tol(tol)
+    # upper triangle only, so argwhere's row-major order gives the first pair
+    close = np.triu(np.abs(np.subtract.outer(mus, mus)) <= tol, k=1)
+    if close.any():
+        i, j = np.argwhere(close)[0]
+        raise DegenerateNodesError(f"nodes {mus[i]} and {mus[j]} closer than {tol}")
     others = [m for k, m in enumerate(mus) if k != target]
     if not others:
         return FilterParams((1.0,))

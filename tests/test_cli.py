@@ -192,8 +192,10 @@ def test_config_file_and_flag_override(capsys, tmp_path):
         ({"samples": [5]}, ("stochastic", "prism"), "samples"),
         ({"seed": 1.5}, ("stochastic", "prism", "--samples", "2000"), "seed"),
         ({"depth": [1]}, ("features", "prism"), "depth"),
+        ({"filter": [[1]]}, ("stochastic", "prism"), "filter"),
+        ({"csl": {"skips": 5}}, ("csl", "--generate", "csl-out"), "skips"),
     ],
-    ids=["tol-list", "tol-string", "samples-list", "seed-float", "depth-list"],
+    ids=["tol-list", "tol-string", "samples-list", "seed-float", "depth-list", "filter-nested", "skips-int"],
 )
 def test_malformed_config_value_is_a_usage_error(capsys, tmp_path, config, argv, word):
     # config values reach the library as JSON gives them; exit 1 would read as an unseparated pair

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -254,6 +256,16 @@ def test_report_json_roundtrip(prism, k33):
         report = discriminate_pair(prism, k33, config)
         parsed = DiscriminationReport.from_json(report.to_json())
         assert parsed == report
+    # a triangle plus an isolated node against 4 isolated nodes sets both
+    # witnesses, and condition 3's carries the two multiplicities as ints
+    g1, g2 = from_edge_list(4, [(0, 1), (0, 3), (1, 3)]), Graph(4, np.zeros((4, 4)))
+    report = discriminate_pair(g1, g2, PairConfig(check_conditions=True))
+    assert report.conditions.cond2_witness is not None
+    assert report.conditions.cond3_witness[1:3] == (1, 4)
+    text = report.to_json()
+    assert DiscriminationReport.from_json(text) == report
+    assert report.to_dict() == json.loads(text)
+    assert [type(m) for m in json.loads(text)["conditions"]["cond3_witness"][1:3]] == [int, int]
 
 
 def test_report_json_schema(prism, k33):
@@ -263,6 +275,19 @@ def test_report_json_schema(prism, k33):
     assert set(doc["spectral"]) == {"verdict", "witness"}
     assert doc["diag_gnn"]["verdict"] in ("separable", "inconclusive")
     assert doc["overall"] in ("separable", "inconclusive")
+    assert list(doc) == ["pair", "wl", "spectral", "diag_gnn", "conditions", "overall"]
+    conditions = discriminate_pair(prism, k33, PairConfig(check_conditions=True)).to_dict()["conditions"]
+    assert list(conditions) == ["cond1_signals_differ", "cond2_witness", "cond3_witness", "verdict"]
+
+
+def test_report_from_dict_needs_every_condition_field_and_ignores_extras(prism, k33):
+    report = discriminate_pair(prism, k33, PairConfig(check_conditions=True))
+    doc = report.to_dict()
+    doc["conditions"]["note"] = "ignored"
+    assert DiscriminationReport.from_dict(doc) == report
+    del doc["conditions"]["cond3_witness"]
+    with pytest.raises(KeyError):
+        DiscriminationReport.from_dict(doc)
 
 
 def test_csl_spec_validation():
@@ -273,6 +298,11 @@ def test_csl_spec_validation():
     with pytest.raises(InvalidSkipError):
         CslSpec(skips=(2, 3, 21))
     assert CslSpec().total_graphs == 150
+    with pytest.raises(InvalidSkipError, match="skips"):
+        CslSpec(skips=5)
+    # a JSON config gives a list; the spec keeps a tuple, so it stays hashable
+    spec = CslSpec(skips=[2, 3])
+    assert spec.skips == (2, 3) and hash(spec) == hash(CslSpec(skips=(2, 3)))
 
 
 @pytest.mark.parametrize("skip", [2.5, 5.0, "5", True])
@@ -386,6 +416,12 @@ def test_anonymous_embed_equivariant(prism):
     assert embeddings_isomorphic(
         anonymous_embed(prism, layers), anonymous_embed(permuted, layers), 1e-9
     )
+
+
+@pytest.mark.parametrize("depth", [0, -1, 2.5, True])
+def test_selector_diag_layer_rejects_bad_depth(depth):
+    with pytest.raises(ValueError, match="depth"):
+        selector_diag_layer(depth)
 
 
 def test_anonymous_embed_config_errors(prism):

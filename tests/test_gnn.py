@@ -59,6 +59,12 @@ def test_filter_params_validation():
         FilterParams((1.0, np.inf))
 
 
+@pytest.mark.parametrize("coeffs", [[[1]], ("x",), (1j,), 5])
+def test_filter_params_rejects_non_real_coefficients(coeffs):
+    with pytest.raises(ValueError, match="filter"):
+        FilterParams(coeffs)
+
+
 def test_graph_filter_identity(prism):
     x = np.arange(6, dtype=float)
     np.testing.assert_array_equal(graph_filter(prism, FilterParams((1.0,)), x), x)

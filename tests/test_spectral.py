@@ -364,6 +364,16 @@ def test_isolating_filter_single_value():
 def test_isolating_filter_degenerate_nodes():
     with pytest.raises(DegenerateNodesError):
         isolating_filter([1.0, 1.0 + 1e-9], 0)
+    # the message names the first close pair in index order
+    with pytest.raises(DegenerateNodesError, match=r"nodes 0\.0 and 1e-09 closer"):
+        isolating_filter([5.0, 0.0, 3.0, 1e-9, 3.0 + 1e-9], 2)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), True])
+def test_isolating_filter_rejects_bad_tolerance(tol):
+    # 0, a negative or a NaN tol would switch the degeneracy check off
+    with pytest.raises(ValueError, match="tolerance"):
+        isolating_filter([1.0, 2.0], 0, tol=tol)
 
 
 def test_filter_matrix_identity(prism):
