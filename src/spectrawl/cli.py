@@ -2,9 +2,10 @@
 
 Subcommands expose the library operations on graphs given as files in the
 edge-list format or as built-in names (prism, k33, bihexagon, bipentagon,
-csl:R). Exit codes: 0 success, 1 failed check or unseparated pair, 2 usage
-or I/O error, or an eigensolver failure (spectral.ConvergenceFailure), which
-says nothing about the pair.
+csl:R). Each cmd_* returns its output lines and exit code, and main writes
+the lines to --out or stdout. Exit codes: 0 success, 1 failed check or
+unseparated pair, 2 usage or I/O error, or an eigensolver failure
+(spectral.ConvergenceFailure), which says nothing about the pair.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import argparse
 import json
 import os
 import sys
+import time
 
 import numpy as np
 
@@ -77,27 +79,24 @@ def _settings(args, cfg: dict, *keys: str) -> dict:
 def _emit(text: str, out: str | None) -> None:
     if out:
         with open(out, "w") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
+            fh.write(text + "\n")
     else:
         print(text)
 
 
-def cmd_wl(args, cfg: dict) -> int:
+def cmd_wl(args, cfg: dict) -> tuple[list[str], int]:
     g1 = resolve_graph(args.graph)
     if args.graph2 is None:
         coloring = wl.wl_refine(g1, init=args.init)
         lines = [f"graph: {g1.name or args.graph} (n={g1.n})"]
         lines += [f"iteration {t}: {list(colors)}" for t, colors in enumerate(coloring.colors)]
         lines += [f"stable_at: {coloring.stable_at}", f"classes: {coloring.num_classes}"]
-        _emit("\n".join(lines), args.out or cfg.get("out"))
-        return 0
-    g2 = resolve_graph(args.graph2)
-    verdict = wl.wl_distinguish(g1, g2, init=args.init)
-    _emit(verdict, args.out or cfg.get("out"))
-    return 0 if verdict == "distinguished" else 1
+        return lines, 0
+    verdict = wl.wl_distinguish(g1, resolve_graph(args.graph2), init=args.init)
+    return [verdict], 0 if verdict == "distinguished" else 1
 
 
-def cmd_spectral(args, cfg: dict) -> int:
+def cmd_spectral(args, cfg: dict) -> tuple[list[str], int]:
     g1 = resolve_graph(args.graph)
     s1 = spectral.eigendecompose(g1)
     lines = [f"graph: {g1.name or args.graph} (n={g1.n})", "grouped spectrum (value x multiplicity):"]
@@ -105,43 +104,36 @@ def cmd_spectral(args, cfg: dict) -> int:
     lines.append(f"|u^T 1|: {_fmt_vec(spectral.eigenvector_one_products(s1))}")
     code = 0
     if args.graph2 is not None:
-        g2 = resolve_graph(args.graph2)
-        witness = spectral.spectra_differ(s1, g2, **_settings(args, cfg, "tol"))
+        witness = spectral.spectra_differ(s1, resolve_graph(args.graph2), **_settings(args, cfg, "tol"))
         if witness is None:
             lines.append("spectra match: no witness")
             code = 1
         else:
             lines.append(f"witness eigenvalue: {_fmt(witness)}")
-    _emit("\n".join(lines), args.out or cfg.get("out"))
-    return code
+    return lines, code
 
 
-def cmd_features(args, cfg: dict) -> int:
+def cmd_features(args, cfg: dict) -> tuple[list[str], int]:
     g = resolve_graph(args.graph)
     x = gnn.diag_powers(g, **_settings(args, cfg, "depth"))
     lines = [",".join(f"k{k}" for k in range(x.shape[1]))]
     lines += [",".join(_fmt(v) for v in row) for row in x]
-    _emit("\n".join(lines), args.out or cfg.get("out"))
-    return 0
+    return lines, 0
 
 
-def cmd_discriminate(args, cfg: dict) -> int:
-    g1 = resolve_graph(args.graph)
-    g2 = resolve_graph(args.graph2)
+def cmd_discriminate(args, cfg: dict) -> tuple[list[str], int]:
+    g1, g2 = resolve_graph(args.graph), resolve_graph(args.graph2)
     config = discriminate.PairConfig(**_settings(args, cfg, "filter", "sigma", "tol"))
-    if (args.format or cfg.get("format")) == "csv":
-        summary = discriminate.run_benchmark([(g1, g2)], config)
-        if summary.rows[0].error is not None:  # a failure, not an unseparated pair
-            print(f"error: {summary.rows[0].error}", file=sys.stderr)
-            return 2
-        _emit(summary.to_csv(), args.out or cfg.get("out"))
-        return 0 if summary.rows[0].overall == "separable" else 1
+    start = time.perf_counter()
     report = discriminate.discriminate_pair(g1, g2, config)
-    _emit(report.to_json(), args.out or cfg.get("out"))
-    return 0 if report.overall == "separable" else 1
+    row = discriminate.BenchmarkRow.from_report(report, (time.perf_counter() - start) * 1e3)
+    code = 0 if report.overall == "separable" else 1
+    if (args.format or cfg.get("format")) == "csv":
+        return [discriminate.BenchmarkSummary((row,)).to_csv().removesuffix("\n")], code
+    return [report.to_json()], code
 
 
-def cmd_csl(args, cfg: dict) -> int:
+def cmd_csl(args, cfg: dict) -> tuple[list[str], int]:
     raw = cfg.get("csl", {})
     spec = discriminate.CslSpec(**_settings(args, raw, "n", "skips", "copies_per_class", "seed"))
     if args.generate:
@@ -149,36 +141,29 @@ def cmd_csl(args, cfg: dict) -> int:
         dataset = discriminate.csl_generate(spec)
         for g, label in dataset:
             save_graph(g, os.path.join(args.generate, f"class{label:02d}_{g.name}.txt"))
-        print(f"wrote {len(dataset)} graphs to {args.generate}")
-        return 0
+        return [f"wrote {len(dataset)} graphs to {args.generate}"], 0
     # classify: labels are parsed from the classNN_ filename prefix
     names = sorted(f for f in os.listdir(args.classify) if f.endswith(".txt"))
     if not names:
-        print(f"no .txt graphs under {args.classify}", file=sys.stderr)
-        return 2
+        raise GraphError(f"no .txt graphs under {args.classify}")
     dataset = []
     for fname in names:
         label = int(fname.split("_", 1)[0].removeprefix("class"))
         dataset.append((load_graph(os.path.join(args.classify, fname)), label))
     accuracy, scores = discriminate.csl_classify(dataset, spec)
-    print(f"graphs: {len(dataset)}")
-    print(f"distinct scores: {sorted(set(round(s, 6) for s in scores))}")
-    print(f"accuracy: {accuracy:.4f}")
-    return 0 if accuracy == 1.0 else 1
+    lines = [f"graphs: {len(dataset)}", f"distinct scores: {sorted(set(round(s, 6) for s in scores))}"]
+    return [*lines, f"accuracy: {accuracy:.4f}"], 0 if accuracy == 1.0 else 1
 
 
-def cmd_reproduce(args, cfg: dict) -> int:
+def cmd_reproduce(args, cfg: dict) -> tuple[list[str], int]:
     diffs = tables.compare_table(args.table)
     bad = [d for d in diffs if not d.ok]
-    for d in diffs:
-        if not d.ok or args.verbose:
-            print(d)
-    print(f"table {args.table}: {len(diffs) - len(bad)}/{len(diffs)} values match")
-    print("MATCH" if not bad else "MISMATCH")
-    return 0 if not bad else 1
+    lines = [str(d) for d in diffs if not d.ok or args.verbose]
+    lines.append(f"table {args.table}: {len(diffs) - len(bad)}/{len(diffs)} values match")
+    return [*lines, "MATCH" if not bad else "MISMATCH"], 0 if not bad else 1
 
 
-def cmd_stochastic(args, cfg: dict) -> int:
+def cmd_stochastic(args, cfg: dict) -> tuple[list[str], int]:
     g = resolve_graph(args.graph)
     given = _settings(args, cfg, "filter", "variance", "samples", "seed", "distribution")
     h = given.pop("filter", discriminate.PAIR_FILTER)
@@ -194,8 +179,7 @@ def cmd_stochastic(args, cfg: dict) -> int:
         f"closed form: {_fmt_vec(closed)}",
         f"worst deviation: {worst:.3f} standard errors",
     ]
-    _emit("\n".join(lines), args.out or cfg.get("out"))
-    return 0 if worst <= 3.0 else 1
+    return lines, 0 if worst <= 3.0 else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -267,7 +251,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = load_config(args.config)
-        return args.func(args, cfg)
+        lines, code = args.func(args, cfg)
+        # commands without --out ignore a config "out" too
+        _emit("\n".join(lines), (args.out or cfg.get("out")) if "out" in args else None)
+        return code
     except (GraphError, OSError, json.JSONDecodeError, ValueError, spectral.ConvergenceFailure) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

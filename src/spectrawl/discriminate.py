@@ -263,8 +263,12 @@ def csl_classify(
     """Nearest-centroid classification by closed-walk score.
 
     Centroids are the scores of the canonical (unpermuted) class circulants.
-    Returns (accuracy, per-graph scores in dataset order).
+    Returns (accuracy, per-graph scores in dataset order). ValueError unless
+    every label is an integer index into spec.skips.
     """
+    for _, label in dataset:
+        if _check_int(label, "label", 0) >= len(spec.skips):
+            raise ValueError(f"label {label} has no class among skips {spec.skips}")
     centroids = np.array([csl_score(csl_base_graph(spec.n, r)) for r in spec.skips])
     scores = [csl_score(g) for g, _ in dataset]
     correct = 0
@@ -344,6 +348,11 @@ class BenchmarkRow:
     millis: float
     error: str | None = None
 
+    @classmethod
+    def from_report(cls, report: DiscriminationReport, millis: float) -> BenchmarkRow:
+        verdicts = (report.wl, report.spectral_verdict, report.diag_verdict, report.overall)
+        return cls(report.pair, *verdicts, millis)
+
 
 @dataclass(frozen=True)
 class BenchmarkSummary:
@@ -376,15 +385,9 @@ def run_benchmark(pairs, config: PairConfig = PairConfig()) -> BenchmarkSummary:
         start = time.perf_counter()
         try:
             report = discriminate_pair(g1, g2, config)
-            millis = (time.perf_counter() - start) * 1e3
-            rows.append(
-                BenchmarkRow(
-                    report.pair, report.wl, report.spectral_verdict,
-                    report.diag_verdict, report.overall, millis,
-                )
-            )
+            row = BenchmarkRow.from_report(report, (time.perf_counter() - start) * 1e3)
         except Exception as exc:  # noqa: BLE001 - deliberately collected
-            millis = (time.perf_counter() - start) * 1e3
-            rows.append(BenchmarkRow(names, "", "", "", "", millis, error=str(exc)))
+            row = BenchmarkRow(names, "", "", "", "", (time.perf_counter() - start) * 1e3, str(exc))
+        rows.append(row)
     rows.sort(key=lambda r: r.pair)
     return BenchmarkSummary(tuple(rows))

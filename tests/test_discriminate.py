@@ -320,6 +320,26 @@ def test_csl_spec_rejects_bad_copies_per_class(copies):
     assert CslSpec(copies_per_class=0).total_graphs == 0
 
 
+@pytest.mark.parametrize(
+    "label, skips, message",
+    [
+        (3, (2, 3), "no class"),
+        (-1, (2, 3), "must be >= 0"),
+        (0, (), "no class"),
+        (1.0, (2, 3), "must be an integer"),
+        (True, (2, 3), "must be an integer"),
+    ],
+    ids=["past-end", "negative", "no-skips", "float", "bool"],
+)
+def test_csl_classify_rejects_labels_outside_skips(count_calls, label, skips, message):
+    # a label with no class used to count as a wrong guess, or die in numpy's argmin
+    scored = count_calls(discriminate, "csl_score")
+    with pytest.raises(ValueError, match=f"^label.*{message}"):
+        csl_classify([(csl_base_graph(41, 2), label)], CslSpec(skips=skips))
+    assert scored == []
+    assert csl_classify([], CslSpec(skips=skips)) == (0.0, [])
+
+
 def test_csl_generate_structure():
     spec = CslSpec()
     dataset = csl_generate(spec)

@@ -96,6 +96,22 @@ def test_gnn_layer_two_taps(prism):
     np.testing.assert_array_equal(y, np.full((6, 1), 4.0))
 
 
+@pytest.mark.parametrize(
+    "x, taps, message",
+    [
+        (np.ones((5, 1)), [np.eye(1)], "5 rows, graph has 6 nodes"),
+        (np.ones((6, 1)), [], "at least one tap"),
+        (np.ones((6, 2)), [np.eye(2), np.ones((2, 1))], "share one shape"),
+        (np.ones((6, 2)), [np.eye(3)], "expects 3 input features, got 2"),
+        (np.ones(6), [np.eye(2)], "expects 2 input features, got 1"),
+    ],
+    ids=["rows", "no-taps", "unequal-taps", "tap-width", "vector-is-one-column"],
+)
+def test_gnn_layer_rejects_mismatched_shapes(prism, x, taps, message):
+    with pytest.raises(DimensionMismatchError, match=message):
+        gnn_layer(prism, x, taps)
+
+
 def test_gnn_layer_relu_pair_recovers_signed_input(prism):
     # two relu neurons with opposite signs; their difference is the identity
     x = np.array([[1.0], [-2.0], [0.5], [-0.25], [3.0], [0.0]])
@@ -125,6 +141,11 @@ def test_closed_walk_examples(prism, k33):
     for v in range(6):
         for k in (1, 3, 5):
             assert closed_walk_count(k33, v, k) == 0
+
+
+def test_closed_walk_rejects_a_node_out_of_range(prism):
+    with pytest.raises(ValueError, match="node 6 out of range"):
+        closed_walk_count(prism, 6, 2)
 
 
 def test_closed_walk_bounds():
@@ -483,6 +504,7 @@ def test_stochastic_variance_matches_horner_path(name, h, distribution):
         ("variance", {"variance": "1"}),
         ("variance", {"variance": [1]}),
         ("samples", {"samples": True}),
+        ("distribution", {"distribution": "uniform"}),
     ],
 )
 def test_stochastic_config_rejects_bad_fields(field, kwargs):

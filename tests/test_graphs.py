@@ -90,6 +90,21 @@ def test_entry_points_reject_bad_integers_naming_the_parameter(prism):
     assert wrong == []
 
 
+@pytest.mark.parametrize(
+    "n, adjacency, error, message",
+    [
+        (2, np.zeros((3, 3)), GraphError, "shape"),
+        (2, [[0, 2], [2, 0]], GraphError, "exactly 0 or 1"),
+        (2, [[1, 0], [0, 0]], SelfLoopError, "self-loop on node 0"),
+        (2, [[0, 1], [0, 0]], GraphError, "symmetric"),
+    ],
+    ids=["shape", "entry-2", "diagonal-1", "asymmetric"],
+)
+def test_graph_rejects_a_bad_adjacency(n, adjacency, error, message):
+    with pytest.raises(error, match=message):
+        Graph(n, np.array(adjacency))
+
+
 def test_numpy_integer_node_count_is_stored_as_int():
     g = Graph(np.int64(3), np.zeros((3, 3)))
     assert type(g.n) is int and g == from_edge_list(np.int32(3), [])
@@ -137,6 +152,11 @@ def test_permutation_composition(seed):
     p = Permutation.random(n, rng)
     q = Permutation.random(n, rng)
     assert apply_permutation(apply_permutation(g, p), q) == apply_permutation(g, q.compose(p))
+
+
+def test_permutation_compose_needs_equal_lengths():
+    with pytest.raises(SizeMismatchError, match="different length"):
+        Permutation((1, 0)).compose(Permutation((0, 1, 2)))
 
 
 def test_permutation_inverse_roundtrip():
@@ -239,6 +259,23 @@ def test_load_rejects_duplicate_edge(tmp_path):
     path.write_text("3\n0 1\n0 1\n")
     with pytest.raises(ParseError):
         load_graph(path)
+
+
+@pytest.mark.parametrize(
+    "text, line_no, message",
+    [
+        ("3 4\n0 1\n", 1, "expected positive node count"),
+        ("3\n0 1 2\n", 2, "expected 'u v'"),
+        ("# only\n# comments\n", 0, "missing node count"),
+    ],
+    ids=["count-line", "three-tokens", "comments-only"],
+)
+def test_load_rejects_malformed_lines(tmp_path, text, line_no, message):
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    with pytest.raises(ParseError, match=message) as err:
+        load_graph(path)
+    assert err.value.line_no == line_no
 
 
 def test_load_missing_file():

@@ -62,6 +62,37 @@ def test_eigendecompose_prism_and_k33(prism, k33):
     )
 
 
+def _eigh_raises(s):
+    raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+
+def _eigh_shifted_values(s, eigh=np.linalg.eigh):
+    w, u = eigh(s)
+    return w + 0.1, u
+
+
+def _eigh_duplicate_column(s, eigh=np.linalg.eigh):
+    # columns 0 and 1 span prism's -2 eigenspace, so the residual stays small
+    w, u = eigh(s)
+    u[:, 1] = u[:, 0]
+    return w, u
+
+
+@pytest.mark.parametrize(
+    "eigh, message",
+    [
+        (_eigh_raises, "did not converge"),
+        (_eigh_shifted_values, "residual"),
+        (_eigh_duplicate_column, "orthogonality"),
+    ],
+    ids=["linalg-error", "residual", "orthogonality"],
+)
+def test_eigendecompose_reports_a_failed_solve(prism, monkeypatch, eigh, message):
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
+    with pytest.raises(ConvergenceFailure, match=message):
+        eigendecompose(prism)
+
+
 def test_spectrum_invariants_on_corpus():
     for entry in corpus():
         g = entry.graph
@@ -359,6 +390,19 @@ def test_isolating_filter_prism_values():
 
 def test_isolating_filter_single_value():
     assert isolating_filter([2.5], 0).coeffs == (1.0,)
+
+
+@pytest.mark.parametrize("target", [-1, 3])
+def test_isolating_filter_rejects_a_target_out_of_range(target):
+    with pytest.raises(IndexError, match="out of range"):
+        isolating_filter([0.0, 1.0, 2.0], target)
+
+
+def test_row_comparisons_need_equal_column_counts(prism, k33):
+    with pytest.raises(ValueError, match="column count"):
+        spectral.embeddings_isomorphic(np.ones((6, 2)), np.ones((6, 1)))
+    with pytest.raises(DimensionMismatchError, match="column count"):
+        check_separability_conditions(prism, k33, np.ones((6, 2)), np.ones((6, 1)))
 
 
 def test_isolating_filter_degenerate_nodes():
