@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 import time
 
@@ -20,7 +21,7 @@ import numpy as np
 
 from . import discriminate, gnn, spectral, tables, wl
 from .gnn import FilterParams, StochasticConfig
-from .graphs import Graph, GraphError, corpus_graph, load_graph, save_graph
+from .graphs import Graph, GraphError, _check_int, corpus_graph, load_graph, save_graph
 
 CONFIG_ENV_VAR = "SPECTRAWL_CONFIG"
 
@@ -40,7 +41,11 @@ def resolve_graph(spec: str) -> Graph:
     except KeyError:
         pass
     if spec.startswith("csl:"):
-        return discriminate.csl_base_graph(41, int(spec.split(":", 1)[1]))
+        try:
+            skip = int(spec.split(":", 1)[1])
+        except ValueError:
+            raise GraphError(f"graph {spec!r}: expected csl:R with an integer skip R") from None
+        return discriminate.csl_base_graph(41, skip)
     return load_graph(spec)
 
 
@@ -148,8 +153,10 @@ def cmd_csl(args, cfg: dict) -> tuple[list[str], int]:
         raise GraphError(f"no .txt graphs under {args.classify}")
     dataset = []
     for fname in names:
-        label = int(fname.split("_", 1)[0].removeprefix("class"))
-        dataset.append((load_graph(os.path.join(args.classify, fname)), label))
+        label = re.match(r"class(\d+)_", fname)
+        if label is None:
+            raise GraphError(f"{fname}: expected a classNN_ prefix naming the label, as --generate writes")
+        dataset.append((load_graph(os.path.join(args.classify, fname)), int(label[1])))
     accuracy, scores = discriminate.csl_classify(dataset, spec)
     lines = [f"graphs: {len(dataset)}", f"distinct scores: {sorted(set(round(s, 6) for s in scores))}"]
     return [*lines, f"accuracy: {accuracy:.4f}"], 0 if accuracy == 1.0 else 1
@@ -168,6 +175,8 @@ def cmd_stochastic(args, cfg: dict) -> tuple[list[str], int]:
     given = _settings(args, cfg, "filter", "variance", "samples", "seed", "distribution")
     h = given.pop("filter", discriminate.PAIR_FILTER)
     scfg = StochasticConfig(**given)
+    # one sample has no standard error, so the agreement check would check nothing
+    _check_int(scfg.samples, "samples", 2)
     estimate, stderr = gnn.stochastic_variance(g, h, scfg)
     closed = gnn.diagonal_module(g, gnn.self_convolve(h, scfg.variance), gnn.LINEAR)
     worst = float(np.max(np.abs(estimate - closed) / np.maximum(stderr, 1e-300)))

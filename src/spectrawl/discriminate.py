@@ -8,6 +8,7 @@ and classifies it with a single untrained closed-walk score per graph.
 
 from __future__ import annotations
 
+import functools
 import json
 import time
 from dataclasses import asdict, dataclass, fields
@@ -63,7 +64,7 @@ class DiscriminationReport:
     pair: tuple[str, str]
     wl: str                                  # "indistinguishable" | "distinguished"
     spectral_verdict: str                    # "separable" | "inconclusive"
-    spectral_witness: float | None
+    spectral_witness: float | tuple[int, int, int] | None  # eigenvalue, or (k, p_k(g1), p_k(g2))
     diag_verdict: str                        # "separable" | "inconclusive"
     diag_outputs: tuple[tuple[float, ...], tuple[float, ...]]
     conditions: spectral.ConditionReport | None
@@ -74,10 +75,11 @@ class DiscriminationReport:
         conditions = None if self.conditions is None else {
             k: list(v) if isinstance(v, tuple) else v for k, v in asdict(self.conditions).items()
         }
+        w = self.spectral_witness
         return {
             "pair": list(self.pair),
             "wl": self.wl,
-            "spectral": {"verdict": self.spectral_verdict, "witness": self.spectral_witness},
+            "spectral": {"verdict": self.spectral_verdict, "witness": list(w) if isinstance(w, tuple) else w},
             "diag_gnn": {"verdict": self.diag_verdict, "outputs": [list(y) for y in self.diag_outputs]},
             "conditions": conditions,
             "overall": self.overall,
@@ -93,11 +95,12 @@ class DiscriminationReport:
             f.name: tuple(raw[f.name]) if isinstance(raw[f.name], list) else raw[f.name]
             for f in fields(spectral.ConditionReport)
         })
+        witness = d["spectral"]["witness"]
         return DiscriminationReport(
             pair=tuple(d["pair"]),
             wl=d["wl"],
             spectral_verdict=d["spectral"]["verdict"],
-            spectral_witness=d["spectral"]["witness"],
+            spectral_witness=tuple(witness) if isinstance(witness, list) else witness,
             diag_verdict=d["diag_gnn"]["verdict"],
             diag_outputs=tuple(tuple(y) for y in d["diag_gnn"]["outputs"]),
             conditions=conditions,
@@ -114,13 +117,21 @@ def discriminate_pair(g1: Graph, g2: Graph, config: PairConfig = PairConfig()) -
 
     overall is "separable" iff at least one method separates the pair; an
     inconclusive report never implies the graphs are isomorphic. Each graph's
-    walk counts and spectrum are computed once and shared by every mechanism.
+    walk counts are computed once and shared by every mechanism.
 
-    The spectrum is built values-first: eigenvalues from eigvalsh, checked
-    against the walk counts by sum_i lambda_i^k = sum_v diag(S^k)_v (a
-    spectral.ConvergenceFailure when they disagree beyond rounding).
-    Eigenvectors are formed only for the groups that conditions 2 and 3
-    visit, so the default path and relabeled pairs form none.
+    The spectral verdict is proven from the walk counts first: their column
+    sums are the power sums p_k = trace(S^k) = sum_i lambda_i^k, exact where
+    spectral._power_sum_witness admits them, and the first k whose p_k differ
+    is the witness (k, p_k(g1), p_k(g2)); no eigenvalue is computed then.
+    Only when every admitted p_k ties is the spectrum built values-first:
+    eigenvalues from eigvalsh, checked against the walk counts by the same
+    trace identity (a spectral.ConvergenceFailure when they disagree beyond
+    rounding), compared at tol, and the witness is an eigenvalue.
+
+    With check_conditions, condition 1 (the walk rows differ as multisets)
+    decides alone when it holds. Only when it fails are conditions 2 and 3
+    looked for, on the values-first spectra, with eigenvectors formed only
+    for the groups they visit.
 
     When refinement leaves equal colorings, their candidate map is checked
     edge for edge (wl._verified_map). A map that passes proves the pair
@@ -147,9 +158,12 @@ def discriminate_pair(g1: Graph, g2: Graph, config: PairConfig = PairConfig()) -
     else:
         depth = max(len(config.filter), config.condition_depth if config.check_conditions else 0)
         x1, x2 = gnn.diag_powers(g1, depth), gnn.diag_powers(g2, depth)
+        # formed on first call: by the fallback below, or for conditions 2 and 3
+        spectra = functools.cache(lambda: (spectral._values_first(g1, x1), spectral._values_first(g2, x2)))
 
-        s1, s2 = spectral._values_first(g1, x1), spectral._values_first(g2, x2)
-        witness = spectral.spectra_differ(s1, s2, config.tol)
+        witness = spectral._power_sum_witness(g1, g2, x1, x2)
+        if witness is None:
+            witness = spectral.spectra_differ(*spectra(), config.tol)
         spectral_verdict = "separable" if witness is not None else "inconclusive"
 
         y1 = gnn._walk_readout(x1, config.filter, config.sigma)
@@ -159,9 +173,12 @@ def discriminate_pair(g1: Graph, g2: Graph, config: PairConfig = PairConfig()) -
 
         if config.check_conditions:
             d = config.condition_depth
-            conditions = spectral.check_separability_conditions(
-                s1, s2, x1[:, :d], x2[:, :d], config.tol
-            )
+            if not embeddings_isomorphic(x1[:, :d], x2[:, :d], config.tol):
+                conditions = spectral.ConditionReport(True, None, None, "separable")
+            else:
+                conditions = spectral.check_separability_conditions(
+                    *spectra(), x1[:, :d], x2[:, :d], config.tol
+                )
 
     separable = (
         wl_verdict == "distinguished"
@@ -173,7 +190,7 @@ def discriminate_pair(g1: Graph, g2: Graph, config: PairConfig = PairConfig()) -
         pair=(g1.name or "graph1", g2.name or "graph2"),
         wl=wl_verdict,
         spectral_verdict=spectral_verdict,
-        spectral_witness=None if witness is None else float(witness),
+        spectral_witness=witness,
         diag_verdict=diag_verdict,
         diag_outputs=(tuple(float(v) for v in y1), tuple(float(v) for v in y2)),
         conditions=conditions,

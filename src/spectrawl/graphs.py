@@ -116,11 +116,12 @@ class Graph:
 
     @property
     def degrees(self) -> np.ndarray:
-        return self.adjacency.sum(axis=1)
+        """Node degrees as float64, read off the cached edge index."""
+        return np.diff(self.edge_index[0]).astype(np.float64)
 
     @property
     def num_edges(self) -> int:
-        return int(self.adjacency.sum()) // 2
+        return len(self.edge_index[1]) // 2
 
     @cached_property
     def edge_index(self) -> tuple[np.ndarray, np.ndarray]:

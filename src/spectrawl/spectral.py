@@ -2,8 +2,10 @@
 
 A `Spectrum` carries eigenvalues sorted ascending, an orthonormal eigenvector
 matrix, and the partition of eigenvalue indices into near-degenerate groups.
-`eigendecompose` builds it eagerly; `discriminate_pair` builds it values-first
-and forms eigenvectors only for the groups its condition test visits.
+`eigendecompose` builds it eagerly; `discriminate_pair` first compares the
+exact power sums of its walk ladders (`_power_sum_witness`), and only when
+they tie builds it values-first, forming eigenvectors only for the groups
+its condition test visits.
 On top of that this module builds the separability machinery: grouped-spectrum
 comparison, the three-condition feature test, eigenvalue-isolating polynomial
 filters, and the absolute-eigenvector test for equal simple spectra.
@@ -208,6 +210,31 @@ def _check_power_sums(w: np.ndarray, traces: np.ndarray, depth: int) -> None:
         raise ConvergenceFailure(
             f"eigenvalue power sum p_{k} off trace(S^{k}) by {err[k]:.3e} (bound {bound[k]:.3e})"
         )
+
+
+def _power_sum_witness(
+    g1: Graph, g2: Graph, walks1: np.ndarray, walks2: np.ndarray
+) -> tuple[int, int, int] | None:
+    """(k, p_k(g1), p_k(g2)) at the first k whose exact power sums differ, or None.
+
+    p_k = trace(S^k) = sum_i lambda_i^k is column k's sum of a walk ladder
+    (`gnn.diag_powers`), so different p_k prove different spectra with no
+    eigenvalue computed. A column counts only where the float ladder is exact:
+    a closed walk of length k >= 1 is fixed by its first k - 1 steps, so with
+    Delta the larger maximum degree and n the larger node count, every walk
+    count, matrix-power entry and partial sum behind p_k is a nonnegative
+    integer at most n Delta^(k-1). k = 0 (the node counts) is always exact;
+    the first k with n Delta^(k-1) >= 2^53 ends the search.
+    """
+    n = max(g1.n, g2.n)
+    delta = int(max(g1.degrees.max(), g2.degrees.max()))
+    p1, p2 = walks1.sum(axis=0), walks2.sum(axis=0)
+    for k in range(min(len(p1), len(p2))):
+        if k and n * delta ** (k - 1) >= 2**53:
+            break
+        if p1[k] != p2[k]:
+            return k, int(p1[k]), int(p2[k])
+    return None
 
 
 #: groups one values-first spectrum forms by inverse iteration; one more

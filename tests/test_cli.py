@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spectrawl import corpus_graph, save_graph, tables
+from spectrawl import corpus_graph, from_edge_list, save_graph, tables
 from spectrawl.cli import main, resolve_graph
 
 REPO = Path(__file__).resolve().parents[1]
@@ -42,6 +42,13 @@ def test_wl_pair_verdict(capsys):
     code, out, _ = run(capsys, "wl", "prism", "csl:2")
     assert code == 0
     assert out.strip() == "distinguished"
+
+
+def test_bad_csl_name_names_the_expected_form(capsys):
+    code, out, err = run(capsys, "wl", "csl:abc")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "'csl:abc'" in err and "csl:R" in err
 
 
 def test_wl_missing_file(capsys):
@@ -162,6 +169,14 @@ def test_stochastic_rejects_nan_variance(capsys):
     assert err.startswith("error:") and "variance" in err
 
 
+def test_stochastic_one_sample_is_a_usage_error(capsys):
+    # one sample has an infinite standard error, and every deviation read 0 of them
+    code, out, err = run(capsys, "stochastic", "prism", "--samples", "1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "samples" in err
+
+
 def test_stochastic_deterministic_output(capsys):
     _, first, _ = run(capsys, "stochastic", "prism", "--samples", "5000", "--seed", "4")
     _, second, _ = run(capsys, "stochastic", "prism", "--samples", "5000", "--seed", "4")
@@ -191,6 +206,18 @@ def test_csl_classify_with_other_skips_is_a_usage_error(capsys, tmp_path):
     assert code == 2
     assert err.startswith("error: label")
     assert out == ""
+
+
+def test_csl_classify_file_without_label_prefix_is_a_usage_error(capsys, tmp_path):
+    outdir = tmp_path / "csl"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"csl": {"copies_per_class": 1}}))
+    assert run(capsys, "--config", str(cfg), "csl", "--generate", str(outdir))[0] == 0
+    (outdir / "notes.txt").write_text("3\n0 1\n")
+    code, out, err = run(capsys, "--config", str(cfg), "csl", "--classify", str(outdir))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: notes.txt") and "classNN_" in err
 
 
 def test_csl_classify_empty_directory_is_a_usage_error(capsys, tmp_path):
@@ -267,10 +294,15 @@ def _moved_eigenvalue(s, eigvalsh=np.linalg.eigvalsh):
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 @pytest.mark.parametrize("eigvalsh", [_raise_linalg_error, _moved_eigenvalue])
-def test_discriminate_eigensolver_failure_is_not_a_verdict(capsys, monkeypatch, eigvalsh, fmt):
-    # exit 1 would read as "inconclusive pair"; a numerical failure says nothing about the pair
+def test_discriminate_eigensolver_failure_is_not_a_verdict(capsys, monkeypatch, tmp_path, eigvalsh, fmt):
+    # exit 1 would read as "inconclusive pair"; a numerical failure says nothing
+    # about the pair. Star K1,4 and C4 plus an isolated node share the spectrum
+    # {2, -2, 0, 0, 0}, so their power sums tie and the eigensolver runs
+    star, c4k1 = tmp_path / "star.txt", tmp_path / "c4k1.txt"
+    save_graph(from_edge_list(5, [(0, v) for v in range(1, 5)]), star)
+    save_graph(from_edge_list(5, [(0, 1), (1, 2), (2, 3), (3, 0)]), c4k1)
     monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
-    code, out, err = run(capsys, "discriminate", "prism", "k33", "--format", fmt)
+    code, out, err = run(capsys, "discriminate", str(star), str(c4k1), "--format", fmt)
     assert code == 2
     assert err.startswith("error:")
     assert out == ""

@@ -137,15 +137,41 @@ def test_discriminate_with_condition_check(prism, k33):
     assert report.conditions.verdict == "separable"
 
 
-def test_discriminate_pair_computes_spectrum_and_walks_once(count_calls, prism, k33):
+def _cospectral_pair():
+    """Star K1,4 and C4 plus an isolated node: spectrum {2, -2, 0, 0, 0} for both."""
+    star = from_edge_list(5, [(0, v) for v in range(1, 5)], name="star")
+    return star, from_edge_list(5, [(0, 1), (1, 2), (2, 3), (3, 0)], name="c4k1")
+
+
+def test_discriminate_pair_computes_spectrum_and_walks_once(count_calls):
+    # every power sum ties, so the spectrum is built, once per graph
+    star, c4k1 = _cospectral_pair()
     eig = count_calls(spectral, "eigendecompose")
     values = count_calls(spectral, "_values_first")
     walks = count_calls(gnn, "diag_powers")
-    discriminate_pair(prism, k33, PairConfig(check_conditions=True))
+    report = discriminate_pair(star, c4k1, PairConfig(check_conditions=True))
+    assert report.spectral_verdict == "inconclusive"
     assert len(eig) == 0  # values-first: no full decomposition
-    assert [args[0] for args in values] == [prism, k33]
+    assert [args[0] for args in values] == [star, c4k1]
     assert [args[1] for args in walks] == [10, 10]  # max(len(filter), condition_depth)
-    assert [v[1].shape for v in values] == [(6, 10), (6, 10)]  # checked against that ladder
+    assert [v[1].shape for v in values] == [(5, 10), (5, 10)]  # checked against that ladder
+
+
+def test_power_sums_separate_without_the_eigensolver(count_calls, prism, k33):
+    # trace(S^3) is 6 x the triangle count: 12 for the prism, 0 for K3,3. An
+    # independent sparse pair separates by its power sums and by condition 1,
+    # so neither the spectrum nor any eigenvector is formed
+    lapack = [count_calls(np.linalg, name) for name in ("eigvalsh", "eigh", "solve", "qr", "svd")]
+    rng = np.random.default_rng(107)
+    sparse = erdos_renyi(300, 8 / 300, rng), erdos_renyi(300, 8 / 300, rng)
+    for config in (PairConfig(), PairConfig(check_conditions=True)):
+        report = discriminate_pair(prism, k33, config)
+        assert report.spectral_verdict == "separable"
+        assert report.spectral_witness == (3, 12, 0)
+        report = discriminate_pair(*sparse, config)
+        assert report.spectral_verdict == "separable" and len(report.spectral_witness) == 3
+        assert config.check_conditions is (report.conditions is not None)
+    assert lapack == [[]] * 5
 
 
 def test_discriminate_relabeled_pair_forms_no_eigenvectors(count_calls, prism):
@@ -185,17 +211,28 @@ def _witness_pairs():
 
 
 def test_discriminate_conditions_match_eager_path():
-    # eigvalsh and eigh are different LAPACK drivers: same witnesses, values
-    # within 1e-12 r, weights within 1e-9 relative
+    # where condition 1 holds it decides alone, and no witness is looked for.
+    # Where it fails: eigvalsh and eigh are different LAPACK drivers, so same
+    # witnesses, values within 1e-12 r, weights within 1e-9 relative. At
+    # depths 1 and 2 (columns of ones and zeros) equal node counts fail it
+    rng = np.random.default_rng(6)
+    pairs = _witness_pairs() + [(erdos_renyi(20, 0.3, rng), erdos_renyi(20, 0.3, rng)) for _ in range(2)]
     witnesses = 0
-    for g1, g2 in _witness_pairs():
-        for depth in (1, 3, 10):
+    for g1, g2 in pairs:
+        for depth in (1, 2, 3, 10):
             config = PairConfig(check_conditions=True, condition_depth=depth)
             lazy = discriminate_pair(g1, g2, config).conditions
             x1, x2 = diag_powers(g1, depth), diag_powers(g2, depth)
             eager = check_separability_conditions(g1, g2, x1, x2)
             r = max(1.0, *(np.abs(eigendecompose(g).eigenvalues).max() for g in (g1, g2)))
-            assert_conditions_agree(lazy, eager, r, abs_tol=1e-12 * max(np.abs(x1).max(), np.abs(x2).max()))
+            abs_tol = 1e-12 * max(np.abs(x1).max(), np.abs(x2).max())
+            if eager.cond1_signals_differ:
+                assert lazy == spectral.ConditionReport(True, None, None, "separable")
+                # the values-first spectra still give the eager witnesses
+                s1, s2 = _walks_and_spectra(g1, g2, max(len(PAIR_FILTER), depth))[2:]
+                assert_conditions_agree(check_separability_conditions(s1, s2, x1, x2), eager, r, abs_tol=abs_tol)
+                continue
+            assert_conditions_agree(lazy, eager, r, abs_tol=abs_tol)
             witnesses += (lazy.cond2_witness is not None) + (lazy.cond3_witness is not None)
     assert witnesses >= 15
 
@@ -252,20 +289,28 @@ def test_pair_config_rejects_bad_tolerance(tol):
 
 
 def test_report_json_roundtrip(prism, k33):
-    for config in (PairConfig(), PairConfig(check_conditions=True)):
+    # a one-tap filter leaves only p_0 in the ladder, so the witness is an eigenvalue
+    one_tap = PairConfig(filter=FilterParams((1.0,)))
+    for config in (PairConfig(), PairConfig(check_conditions=True), one_tap):
         report = discriminate_pair(prism, k33, config)
         parsed = DiscriminationReport.from_json(report.to_json())
         assert parsed == report
+    assert isinstance(discriminate_pair(prism, k33, one_tap).spectral_witness, float)
     # a triangle plus an isolated node against 4 isolated nodes sets both
-    # witnesses, and condition 3's carries the two multiplicities as ints
+    # condition witnesses at depth 1, where condition 1 fails, and condition
+    # 3's carries the two multiplicities as ints; the spectral witness is
+    # trace(S^2) = 2m, 6 against 0, as a tuple of ints
     g1, g2 = from_edge_list(4, [(0, 1), (0, 3), (1, 3)]), Graph(4, np.zeros((4, 4)))
-    report = discriminate_pair(g1, g2, PairConfig(check_conditions=True))
+    report = discriminate_pair(g1, g2, PairConfig(check_conditions=True, condition_depth=1))
     assert report.conditions.cond2_witness is not None
     assert report.conditions.cond3_witness[1:3] == (1, 4)
+    assert report.spectral_witness == (2, 6, 0)
     text = report.to_json()
     assert DiscriminationReport.from_json(text) == report
     assert report.to_dict() == json.loads(text)
     assert [type(m) for m in json.loads(text)["conditions"]["cond3_witness"][1:3]] == [int, int]
+    assert json.loads(text)["spectral"]["witness"] == [2, 6, 0]
+    assert [type(v) for v in DiscriminationReport.from_json(text).spectral_witness] == [int, int, int]
 
 
 def test_report_json_schema(prism, k33):
@@ -577,21 +622,23 @@ def test_certified_reports_match_the_full_path(monkeypatch):
 
 def test_uncertified_pairs_take_the_full_path(count_calls, monkeypatch, prism, k33):
     rng = np.random.default_rng(103)
-    pairs = [(prism, k33), (prism, apply_permutation(prism, Permutation((3, 5, 0, 4, 1, 2))))]
+    # separated by power sums, so no spectrum is built
+    separated = [(prism, k33), (csl_base_graph(41, 2), csl_base_graph(41, 3))]
+    isomorphic = [(prism, apply_permutation(prism, Permutation((3, 5, 0, 4, 1, 2))))]
     for r in (2, 5, 9):
         base = csl_base_graph(41, r)
-        pairs.append((base, apply_permutation(base, Permutation.random(41, rng))))
-    pairs.append((csl_base_graph(41, 2), csl_base_graph(41, 3)))
+        isomorphic.append((base, apply_permutation(base, Permutation.random(41, rng))))
     # vertex-transitive, so the candidate map is the identity and fails; its
     # walk counts pass 2^53
-    pairs.append(_dense_relabeled_circulant())
+    isomorphic.append(_dense_relabeled_circulant())
+    pairs = separated + isomorphic
     config = PairConfig(check_conditions=True)
     values = count_calls(spectral, "_values_first")
     reports = []
-    for g1, g2 in pairs:
+    for i, (g1, g2) in enumerate(pairs):
         assert wl._verified_map(g1, g2, wl._joint_refinement(g1, g2)) is None
         del values[:]
         reports.append(discriminate_pair(g1, g2, config).to_json())
-        assert [args[0] for args in values] == [g1, g2]
+        assert [args[0] for args in values] == ([] if i < len(separated) else [g1, g2])
     _force_full_path(monkeypatch)
     assert [discriminate_pair(g1, g2, config).to_json() for g1, g2 in pairs] == reports

@@ -288,9 +288,19 @@ def test_edge_index_is_cached_sorted_csr():
     indptr, indices = g.edge_index
     assert g.edge_index[0] is indptr and g.edge_index[1] is indices
     assert not indptr.flags.writeable and not indices.flags.writeable
-    np.testing.assert_array_equal(np.diff(indptr), g.degrees)
+    np.testing.assert_array_equal(np.diff(indptr), g.adjacency.sum(axis=1))
     for v in range(g.n):
         np.testing.assert_array_equal(indices[indptr[v] : indptr[v + 1]], np.flatnonzero(g.adjacency[v]))
+
+
+def test_degrees_and_edge_count_match_adjacency_sums():
+    rng = np.random.default_rng(63)
+    graphs = [Graph(1, np.zeros((1, 1))), Graph(4, np.zeros((4, 4)))]
+    graphs += [entry.graph for entry in corpus()] + [erdos_renyi(n, 0.3, rng) for n in (2, 30, 120)]
+    for g in graphs:
+        assert g.degrees.dtype == np.float64
+        np.testing.assert_array_equal(g.degrees, g.adjacency.sum(axis=1))
+        assert type(g.num_edges) is int and g.num_edges == int(g.adjacency.sum()) // 2
 
 
 def test_neighbors_and_edges_read_the_edge_index(bihexagon):

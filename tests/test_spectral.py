@@ -550,6 +550,68 @@ def test_trace_check_passes_on_benchmark_graphs():
     assert count == 2 * 2 * (300 + 8)
 
 
+# ---------------------------------------------------------------------------
+# power sums: the walk ladder's exact column sums prove spectra apart
+# ---------------------------------------------------------------------------
+
+
+def _admitted(g, depth):
+    """The ks below depth whose ladder column sums the power-sum guard trusts."""
+    delta = int(g.degrees.max())
+    return [k for k in range(depth) if k == 0 or g.n * delta ** (k - 1) < 2**53]
+
+
+def test_ladder_column_sums_are_the_exact_traces_where_admitted():
+    rng = np.random.default_rng(71)
+    shapes = ((12, 0.5), (60, 0.1), (150, 8 / 150), (300, 8 / 300), (200, 0.5), (300, 0.5))
+    for n, p in shapes:
+        g = erdos_renyi(n, p, rng)
+        sums = diag_powers(g, 10).sum(axis=0)
+        s, power = g.adjacency.astype(np.int64), np.eye(n, dtype=np.int64)
+        for k in _admitted(g, 10):
+            assert float(sums[k]).is_integer() and int(sums[k]) == int(np.trace(power)), (n, p, k)
+            power = power @ s
+
+
+def test_power_sum_witness_never_separates_isomorphic_pairs():
+    rng = np.random.default_rng(73)
+    pairs = [(g, h) for g, h, _ in random_graph_pairs(40, seed=74)]
+    pairs += [(erdos_renyi(int(n), 0.4, rng), erdos_renyi(int(n), 0.4, rng)) for n in rng.integers(2, 9, 80)]
+    isomorphic = separated = 0
+    for g1, g2 in pairs:
+        witness = spectral._power_sum_witness(g1, g2, diag_powers(g1, 10), diag_powers(g2, 10))
+        if is_isomorphic_bruteforce(g1, g2):
+            assert witness is None
+            isomorphic += 1
+        elif witness is not None:
+            k, p1, p2 = witness
+            assert p1 != p2 and [type(v) for v in witness] == [int, int, int]
+            assert [p1, p2] == [round(np.sum(np.linalg.eigvalsh(g.adjacency) ** k)) for g in (g1, g2)]
+            separated += 1
+    assert isomorphic >= 40 and separated >= 40
+
+
+def test_power_sum_witness_counts_node_counts_first(prism, bihexagon):
+    walks = diag_powers(prism, 6), diag_powers(bihexagon, 6)
+    assert spectral._power_sum_witness(prism, bihexagon, *walks) == (0, 6, 10)
+
+
+def test_power_sum_guard_cuts_the_dense_ladder():
+    # depth-9 closed-walk counts near Delta^8 pass 2^53, so their column sums
+    # are not trusted, however far apart they read
+    g = erdos_renyi(400, 0.5, np.random.default_rng(75))
+    walks = diag_powers(g, 10)
+    last = _admitted(g, 10)[-1]
+    assert 3 <= last < 9
+    assert spectral._power_sum_witness(g, g, walks, walks) is None
+    for k in range(2, 10):  # column 1 is zeros
+        doubled = walks.copy()
+        doubled[:, k] *= 2
+        witness = spectral._power_sum_witness(g, g, walks, doubled)
+        expected = (k, int(walks[:, k].sum()), int(doubled[:, k].sum()))
+        assert witness == (expected if k <= last else None), k
+
+
 def test_inverse_iteration_projectors_match_eigendecompose():
     seen = set()
     for entry in corpus():
