@@ -17,8 +17,6 @@ import re
 import sys
 import time
 
-import numpy as np
-
 from . import discriminate, gnn, spectral, tables, wl
 from .gnn import FilterParams, StochasticConfig
 from .graphs import Graph, GraphError, _check_int, corpus_graph, load_graph, save_graph
@@ -178,8 +176,7 @@ def cmd_stochastic(args, cfg: dict) -> tuple[list[str], int]:
     # one sample has no standard error, so the agreement check would check nothing
     _check_int(scfg.samples, "samples", 2)
     estimate, stderr = gnn.stochastic_variance(g, h, scfg)
-    closed = gnn.diagonal_module(g, gnn.self_convolve(h, scfg.variance), gnn.LINEAR)
-    worst = float(np.max(np.abs(estimate - closed) / np.maximum(stderr, 1e-300)))
+    closed, worst = gnn._closed_form_deviation(g, h, scfg, estimate, stderr)
     lines = [
         f"graph: {g.name or args.graph}  samples: {scfg.samples}  "
         f"distribution: {scfg.distribution}  seed: {scfg.seed}",

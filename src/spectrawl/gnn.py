@@ -371,6 +371,13 @@ def self_convolve(h: FilterParams, variance: float = 1.0) -> FilterParams:
 _CHUNK_VALUES = 1 << 16
 
 
+def _block_samples(n: int, samples: int) -> int:
+    """Samples per block of stochastic_variance: whole groups of 64, so a
+    block of rademacher signs ends on a raw word; about _CHUNK_VALUES values,
+    and no more groups than samples needs."""
+    return min(max(64, _CHUNK_VALUES // n // 64 * 64), -(-samples // 64) * 64)
+
+
 def stochastic_variance(
     g: Graph, h: FilterParams, cfg: StochasticConfig
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -382,44 +389,83 @@ def stochastic_variance(
 
     The filter is linear and fixed, so it is formed once as the n x n matrix
     H = sqrt(variance) * sum_k h_k S^k (by graph_filter on the identity) and
-    each block of unit-variance samples is filtered by one product x @ H.
+    each block of unit-variance samples is filtered by one product with H.
     With K taps that costs 2(K-1) n^3 flops to form H plus 2 samples n^2 to
-    filter.
+    filter. The input and output blocks are allocated once per call and
+    filled in place.
 
-    Sampling is counter-based (Philox keyed by cfg.seed) and consumed in
-    sample-major order, so entry (node i, sample j) is a pure function of
-    (seed, i, j, n); repeated calls are bit-identical. Forming H changes only
-    the rounding of z, never the random stream.
+    The generator is SFC64 seeded by cfg.seed, consumed in sample-major
+    order: entry (node i, sample j) is value j n + i of the stream, whatever
+    the block length, so repeated calls are bit-identical. Gaussian values
+    come from standard_normal. Rademacher values take 64 signs from each raw
+    64-bit word: value t is bit 63 - t mod 64 of word t // 64 (the words
+    read as one bit string, most significant bit first), 1 meaning +1 and 0
+    meaning -1. Forming H changes only the rounding of z, never the stream.
+
+    The variance behind the standard error is merged from per-block means
+    and sums of squared deviations (Chan, Golub & LeVeque, Amer. Statist.
+    1983), so it does not cancel when z^2 barely varies; with one sample it
+    is undefined and the standard error is infinite.
     """
     n, m_total = g.n, cfg.samples
-    # a polynomial in symmetric S is symmetric, so with samples as rows the
-    # filtered block is x @ filt
     filt = graph_filter(g, h, np.diag(np.full(n, np.sqrt(cfg.variance))))
-    rng = np.random.Generator(np.random.Philox(cfg.seed))
+    rng = np.random.Generator(np.random.SFC64(cfg.seed))
 
-    sum_z2 = np.zeros(n)
-    sum_z4 = np.zeros(n)
-    chunk = max(1, _CHUNK_VALUES // n)
+    chunk = _block_samples(n, m_total)
+    x = np.empty((chunk, n))
+    # z^2 node-major, so each node's samples in a block are one contiguous row
+    z_buf = np.empty(n * chunk)
     ones = np.ones(chunk)
+    mean = np.zeros(n)
+    m2 = np.zeros(n)
     done = 0
     while done < m_total:
         m = min(chunk, m_total - done)
+        xb, zb = x[:m], z_buf[: n * m].reshape(n, m)
         if cfg.distribution == "gaussian":
-            x = rng.standard_normal((m, n))
+            rng.standard_normal(out=xb)
         else:
-            x = rng.integers(0, 2, size=(m, n)).astype(np.float64)
-            x *= 2.0
-            x -= 1.0
-        z2 = x @ filt
-        np.square(z2, out=z2)
-        sum_z2 += ones[:m] @ z2
-        sum_z4 += ones[:m] @ np.square(z2, out=z2)
+            words = rng.bit_generator.random_raw(-(-m * n // 64)).astype(">u8")
+            bits = np.unpackbits(words.view(np.uint8), count=m * n)
+            np.multiply(bits.reshape(m, n), 2.0, out=xb)
+            xb -= 1.0
+        np.matmul(filt, xb.T, out=zb)  # column j is z = H x for sample j
+        np.square(zb, out=zb)
+        block_mean = zb @ ones[:m]
+        block_mean /= m
+        zb -= block_mean[:, None]
+        np.square(zb, out=zb)
+        delta = block_mean - mean
+        mean += delta * (m / (done + m))
+        m2 += zb @ ones[:m]
+        m2 += delta**2 * (done * m / (done + m))
         done += m
 
-    estimate = sum_z2 / m_total
     if m_total > 1:
-        sample_var = (sum_z4 - m_total * estimate**2) / (m_total - 1)
-        stderr = np.sqrt(np.maximum(sample_var, 0.0) / m_total)
+        stderr = np.sqrt(m2 / (m_total - 1) / m_total)
     else:
         stderr = np.full(n, np.inf)
-    return estimate, stderr
+    return mean, stderr
+
+
+def _closed_form_deviation(
+    g: Graph, h: FilterParams, cfg: StochasticConfig, estimate: np.ndarray, stderr: np.ndarray
+) -> tuple[np.ndarray, float]:
+    """The closed form of var[z], and the worst |estimate - closed form| in
+    standard errors, each standard error floored at the rounding bound.
+
+    z^2 can be constant (a one-tap filter on rademacher input), so the
+    standard error can be 0 or a few ulps and plain rounding would read as
+    a huge deviation. The floor bounds that rounding, per node: a b-sample
+    block mean by b eps of the estimate, each of the B merges by eps of it,
+    and the readout sum_k h'_k diag(S^k) of K' terms by K' eps
+    sum_k |h'_k| diag(S^k).
+    """
+    hh = self_convolve(h, cfg.variance)
+    walks = diag_powers(g, len(hh))
+    closed = _walk_readout(walks, hh, LINEAR)
+    block = _block_samples(g.n, cfg.samples)
+    merges = -(-cfg.samples // block)
+    readout = len(hh) * (walks @ np.abs(hh.as_array()))
+    floor = np.finfo(np.float64).eps * ((block + merges) * np.abs(estimate) + readout)
+    return closed, float(np.max(np.abs(estimate - closed) / np.maximum(stderr, floor)))

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spectrawl import corpus_graph, from_edge_list, save_graph, tables
+from spectrawl import FilterParams, StochasticConfig, corpus_graph, from_edge_list, gnn, save_graph, tables
 from spectrawl.cli import main, resolve_graph
 
 REPO = Path(__file__).resolve().parents[1]
@@ -181,6 +181,28 @@ def test_stochastic_deterministic_output(capsys):
     _, first, _ = run(capsys, "stochastic", "prism", "--samples", "5000", "--seed", "4")
     _, second, _ = run(capsys, "stochastic", "prism", "--samples", "5000", "--seed", "4")
     assert first == second
+
+
+def test_stochastic_constant_square_is_no_deviation(capsys):
+    # every z^2 is the same number, so the standard error is 0 or a few ulps
+    # and only rounding separates the estimate from the closed form
+    code, out, _ = run(
+        capsys, "stochastic", "prism", "--samples", "32773", "--seed", "5", "--variance", "2",
+        "--distribution", "rademacher", "--filter", "0.3",
+    )
+    assert code == 0
+    worst = float(out.split("worst deviation: ")[1].split()[0])
+    assert worst <= 3.0
+
+
+def test_stochastic_deviation_floor_is_only_rounding():
+    g = corpus_graph("prism")
+    h = FilterParams((0.3,))
+    cfg = StochasticConfig(variance=2.0, samples=32773, seed=5, distribution="rademacher")
+    closed, worst = gnn._closed_form_deviation(g, h, cfg, np.full(g.n, 0.18), np.zeros(g.n))
+    assert worst <= 3.0
+    _, worst = gnn._closed_form_deviation(g, h, cfg, closed + 1e-6, np.zeros(g.n))
+    assert worst > 3.0
 
 
 def test_csl_generate_and_classify(capsys, tmp_path):

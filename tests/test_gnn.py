@@ -461,18 +461,20 @@ def test_stochastic_variance_matches_closed_form(prism, bihexagon):
 
 def _horner_variance(g, h, cfg):
     """stochastic_variance's estimate and stderr from one block of the same
-    Philox stream, filtered by graph_filter's Horner nesting."""
-    rng = np.random.Generator(np.random.Philox(cfg.seed))
+    SFC64 stream, filtered by graph_filter's Horner nesting, with a two-pass
+    sample variance."""
+    rng = np.random.Generator(np.random.SFC64(cfg.seed))
     shape = (cfg.samples, g.n)
     if cfg.distribution == "gaussian":
         x = rng.standard_normal(shape)
     else:
-        x = (rng.integers(0, 2, size=shape) * 2 - 1).astype(np.float64)
+        # value t = j n + i is bit 63 - t mod 64 of raw word t // 64
+        words = rng.bit_generator.random_raw(-(-cfg.samples * g.n // 64))
+        t = np.arange(cfg.samples * g.n)
+        bits = (words[t // 64] >> (63 - t % 64).astype(np.uint64)) & np.uint64(1)
+        x = (bits.astype(np.float64) * 2 - 1).reshape(shape)
     z2 = graph_filter(g, h, np.sqrt(cfg.variance) * x.T) ** 2
-    m = cfg.samples
-    estimate = z2.sum(axis=1) / m
-    sample_var = (np.sum(z2 * z2, axis=1) - m * estimate**2) / (m - 1)
-    return estimate, np.sqrt(np.maximum(sample_var, 0.0) / m)
+    return z2.mean(axis=1), np.sqrt(np.var(z2, axis=1, ddof=1) / cfg.samples)
 
 
 @pytest.mark.parametrize("distribution", ["gaussian", "rademacher"])
@@ -481,12 +483,64 @@ def _horner_variance(g, h, cfg):
 def test_stochastic_variance_matches_horner_path(name, h, distribution):
     g = corpus_graph(name) if name == "prism" else csl_base_graph(41, 5)
     # three full sample blocks and a partial one
-    samples = 3 * (gnn._CHUNK_VALUES // g.n) + 7
+    samples = 3 * gnn._block_samples(g.n, 10**9) + 7
     cfg = StochasticConfig(variance=2.0, samples=samples, seed=17, distribution=distribution)
     estimate, stderr = stochastic_variance(g, h, cfg)
     ref_estimate, ref_stderr = _horner_variance(g, h, cfg)
     np.testing.assert_allclose(estimate, ref_estimate, rtol=1e-12, atol=0)
     np.testing.assert_allclose(stderr, ref_stderr, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("distribution", ["gaussian", "rademacher"])
+@pytest.mark.parametrize("chunk_values", [1 << 9, 1 << 14])
+def test_stochastic_variance_stream_position_ignores_block_length(monkeypatch, chunk_values, distribution):
+    # entry (node i, sample j) is value j n + i of the stream for any block length
+    g = csl_base_graph(41, 5)
+    cfg = StochasticConfig(variance=2.0, samples=1000, seed=11, distribution=distribution)
+    monkeypatch.setattr(gnn, "_CHUNK_VALUES", chunk_values)
+    assert gnn._block_samples(g.n, cfg.samples) < cfg.samples
+    estimate, stderr = stochastic_variance(g, PAIR_FILTER, cfg)
+    ref_estimate, ref_stderr = _horner_variance(g, PAIR_FILTER, cfg)
+    np.testing.assert_allclose(estimate, ref_estimate, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(stderr, ref_stderr, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize(
+    "name, coeff",
+    [("prism", 0.3), ("prism", 0.7), ("csl-5", 0.3)],
+)
+def test_stochastic_stderr_is_stable_when_z2_is_constant(name, coeff):
+    # a one-tap filter on rademacher input makes every z^2 the same number,
+    # so the true standard error is 0; a one-pass variance cancels to ~1e-9
+    g = corpus_graph(name) if name == "prism" else csl_base_graph(41, 5)
+    cfg = StochasticConfig(variance=2.0, samples=32773, seed=5, distribution="rademacher")
+    estimate, stderr = stochastic_variance(g, FilterParams((coeff,)), cfg)
+    np.testing.assert_allclose(estimate, 2.0 * coeff**2, rtol=1e-12)
+    assert np.all(stderr <= 1e-14 * estimate)
+
+
+def test_stochastic_variance_one_sample_has_infinite_stderr(prism):
+    _, stderr = stochastic_variance(prism, PAIR_FILTER, StochasticConfig(samples=1))
+    assert np.all(np.isinf(stderr))
+
+
+@pytest.mark.parametrize("distribution", ["gaussian", "rademacher"])
+def test_stochastic_variance_reuses_its_blocks(distribution):
+    g = csl_base_graph(41, 5)
+    block = 8 * gnn._CHUNK_VALUES
+    peaks = {}
+    for samples in (64, 10**4, 10**5):  # the first call warms up lazy imports
+        cfg = StochasticConfig(samples=samples, seed=1, distribution=distribution)
+        tracemalloc.start()
+        try:
+            stochastic_variance(g, PAIR_FILTER, cfg)
+            peaks[samples] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[10**5] - peaks[10**4]) <= block
+    # the input and output blocks, an eighth of a block of sign bits, and H
+    # with its Horner temporaries
+    assert peaks[10**5] <= 2.5 * block + 4 * 8 * g.n**2
 
 
 @pytest.mark.parametrize(
