@@ -112,6 +112,18 @@ class DiscriminationReport:
         return DiscriminationReport.from_dict(json.loads(text))
 
 
+def _low_power_sum_gap(g1: Graph, g2: Graph) -> int | None:
+    """The first k whose power sums p_k are known to differ before any ladder is built.
+
+    p_0 = n and p_2 = 2m are read off the edge index, and p_1 = trace S = 0,
+    as Graph has no self-loops: 0 when the node counts differ, 2 when only
+    the edge counts do, else None.
+    """
+    if g1.n != g2.n:
+        return 0
+    return 2 if g1.num_edges != g2.num_edges else None
+
+
 def discriminate_pair(g1: Graph, g2: Graph, config: PairConfig = PairConfig()) -> DiscriminationReport:
     """Run color refinement, spectrum comparison, and the closed-walk module.
 
@@ -131,7 +143,11 @@ def discriminate_pair(g1: Graph, g2: Graph, config: PairConfig = PairConfig()) -
     With check_conditions, condition 1 (the walk rows differ as multisets)
     decides alone when it holds. Only when it fails are conditions 2 and 3
     looked for, on the values-first spectra, with eigenvectors formed only
-    for the groups they visit.
+    for the groups they visit. The ladders are condition_depth deep, unless
+    the node counts (p_0) or edge counts (p_2 = 2m) differ at some k below
+    condition_depth: then column k's sums differ, which proves condition 1
+    without comparing rows, and the ladders stop at max(len(filter), k + 1)
+    columns, enough for the same power-sum witness.
 
     When refinement leaves equal colorings, their candidate map is checked
     edge for edge (wl._verified_map). A map that passes proves the pair
@@ -156,7 +172,13 @@ def discriminate_pair(g1: Graph, g2: Graph, config: PairConfig = PairConfig()) -
         if config.check_conditions:
             conditions = spectral.ConditionReport(False, None, None, "inconclusive")
     else:
-        depth = max(len(config.filter), config.condition_depth if config.check_conditions else 0)
+        d = config.condition_depth if config.check_conditions else 0
+        # column k's sums differ, so the walk rows do, at any tol: its entries
+        # are small exact integers, which the row compare's rounding keeps.
+        # Below d that proves condition 1, and the ladders need k + 1 columns
+        k = _low_power_sum_gap(g1, g2)
+        rows_differ = k is not None and k < d
+        depth = max(len(config.filter), k + 1 if rows_differ else d)
         x1, x2 = gnn.diag_powers(g1, depth), gnn.diag_powers(g2, depth)
         # formed on first call: by the fallback below, or for conditions 2 and 3
         spectra = functools.cache(lambda: (spectral._values_first(g1, x1), spectral._values_first(g2, x2)))
@@ -172,8 +194,7 @@ def discriminate_pair(g1: Graph, g2: Graph, config: PairConfig = PairConfig()) -
         diag_verdict = "inconclusive" if diag_same else "separable"
 
         if config.check_conditions:
-            d = config.condition_depth
-            if not embeddings_isomorphic(x1[:, :d], x2[:, :d], config.tol):
+            if rows_differ or not embeddings_isomorphic(x1[:, :d], x2[:, :d], config.tol):
                 conditions = spectral.ConditionReport(True, None, None, "separable")
             else:
                 conditions = spectral.check_separability_conditions(

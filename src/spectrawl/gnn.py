@@ -161,7 +161,7 @@ def gnn_layer(g: Graph, x: np.ndarray, taps, sigma=LINEAR) -> np.ndarray:
     return sigma(_horner(lambda acc: g.adjacency @ acc, lambda k: x @ hs[k], len(hs)))
 
 
-#: rows of S^5 that diag_powers forms at a time by BLAS
+#: rows of S^5 that the dense plan of diag_powers forms at a time by BLAS
 _ROW_BLOCK = 256
 #: rows that a gather product accumulates at a time
 _GATHER_ROWS = 32
@@ -187,25 +187,41 @@ def _gather_slots(g: Graph) -> list:
     return table
 
 
-def _times_s(s: np.ndarray, slots, p: np.ndarray, rows: slice = slice(None)) -> np.ndarray:
-    """Rows of S p for a power p of S; S p = p S, as powers of S commute.
+def _gather_product(slots, p: np.ndarray) -> np.ndarray:
+    """S p for a power p of S, by gathers over a slot table (_gather_slots).
 
-    Without a slot table this is one BLAS product, p[rows] @ S, or S S^T
-    (syrk) when p is S itself. With one, each result row sums the rows of p
-    at its neighbours, one slot at a time over a chunk of rows: m n additions
-    for m nonzeros, against 2 n^3 flops by BLAS. rows must start on a chunk.
+    Each result row sums the rows of p at its neighbours, one slot at a time
+    over a chunk of rows: m n additions for m nonzeros, against 2 n^3 flops
+    by BLAS.
     """
-    if slots is None:
-        return p[rows] @ (p.T if p is s else s)
-    r0, r1, _ = rows.indices(len(p))
-    out = np.empty((r1 - r0, p.shape[1]))
+    out = np.empty_like(p)
     acc = np.empty((_GATHER_ROWS, p.shape[1]))
-    for r, order, chunk_slots in slots[r0 // _GATHER_ROWS : -(-r1 // _GATHER_ROWS)]:
+    for r, order, chunk_slots in slots:
         acc[: len(order)] = 0.0
         for nbrs in chunk_slots:
             acc[: len(nbrs)] += p[nbrs]
-        out[r - r0 + order] = acc[: len(order)]
+        out[r + order] = acc[: len(order)]
     return out
+
+
+def _wedge_square(g: Graph) -> np.ndarray:
+    """S^2 from the edge index: entry (i, j) counts the wedges i - k - j.
+
+    Slot t pairs every edge (k, i) with k's t-th neighbour j, one addition
+    per wedge: the sum of squared degrees in all, against m n for S S by
+    gathers. Edges are sorted by the degree of k, descending, so those of
+    slot t are a prefix; no index array outgrows the edge count.
+    """
+    indptr, indices = g.edge_index
+    deg = np.diff(indptr)
+    owner = np.repeat(np.arange(g.n), deg)
+    e = np.argsort(-deg[owner], kind="stable")
+    rows, first, degs = indices[e] * g.n, indptr[owner[e]], deg[owner[e]]
+    out = np.zeros(g.n * g.n)
+    for t in range(deg.max(initial=0)):
+        live = np.count_nonzero(degs > t)
+        np.add.at(out, rows[:live] + indices[first[:live] + t], 1.0)
+    return out.reshape(g.n, g.n)
 
 
 def diag_powers(g: Graph, depth: int = 10) -> np.ndarray:
@@ -219,37 +235,34 @@ def diag_powers(g: Graph, depth: int = 10) -> np.ndarray:
     order.
 
     S is symmetric, so diag(S^k) is the row-wise dot product of S^a and S^b
-    for any a + b = k. The powers formed besides S are:
-
-    - depth <= 3: none;
-    - depth 4-5: S^2;
-    - depth 6-7: S^2 and S^4;
-    - deeper: S^2, S^4, then S^5, S^6, ..., S^max(5, depth // 2), each the
-      previous power times S.
-
-    S^4 is the squaring S^2 (S^2)^T, which numpy dispatches to the symmetric
-    rank-k update (syrk): half the 2 n^3 flops of a general product (gemm).
-    The products by S (S^2 = S S, S^5 = S S^4 one row block at a time, and
-    S^(j+1) = S S^j past depth 11) follow one of two plans, chosen from the
+    for any a + b = k. Up to depth 3 no power besides S is formed; from
+    depth 4 on, S^2 is. The rest follows one of two plans, chosen from the
     graph's own density:
 
-    - dense, nnz * 64 > n^2: BLAS. S^2 = S S^T is a syrk, the others gemm;
-      depth 10 costs 2 syrk and 1 gemm, 4 n^3 flops in all.
-    - sparse, nnz * 64 <= n^2: gathers over the cached edge index. Row i of
-      S P is the sum of P's rows at i's neighbours, m n additions for m = nnz.
-      Nodes are sorted by degree in chunks of 32 rows and the sums run one
-      neighbour slot at a time over a prefix of each chunk.
+    - dense, nnz * 64 > n^2: BLAS. S^2 = S S^T and, from depth 6, S^4 =
+      S^2 (S^2)^T are squarings, which numpy dispatches to the symmetric
+      rank-k update (syrk): half the 2 n^3 flops of a general product
+      (gemm). From depth 8, S^5 = S^4 S is formed 256 rows at a time and
+      read by row dots, and past depth 11 the chain S^(j+1) = S^j S
+      continues from it; depth 10 costs 2 syrk and 1 gemm, 4 n^3 flops.
+    - sparse, nnz * 64 <= n^2: S^2 is counted from the wedges i - k - j of
+      the cached edge index (sum of squared degrees additions), then one
+      chain S^j = S S^(j-1) by gathers reads diag(S^(2j-1)) and diag(S^(2j))
+      as row dots of S^(j-1) S^j and S^j S^j. Row i of S P is the sum of P's
+      rows at i's neighbours, m n additions for m = nnz. Nodes are sorted by
+      degree in chunks of 32 rows and the sums run one neighbour slot at a
+      time over a prefix of each chunk.
 
-    The 64 sits above the measured crossover (depth 10 on sparse G(n, d/n),
+    The 64 sits at the measured crossover (depth 10 on sparse G(n, d/n),
     one BLAS thread, slot table included): for n = 300 to 1000 the plans
-    break even near mean degree n / 45, and from n / 64 on the gathers are
-    1.1x to 1.4x faster; at n = 2000 and degree 8 (n / 250), 2.1x to 2.5x.
-    At n = 150 the per-slot overhead makes the gathers 1.2x to 1.3x slower,
-    at under a millisecond for either plan.
+    break even between mean degree n / 45 and n / 64, and at n / 100 the
+    sparse plan is 1.35x to 1.8x faster; at n = 2000 and degree 8 (n / 250),
+    3.2x. At n = 150 the per-slot overhead makes it 1.2x to 1.6x slower, at
+    under a millisecond for either plan.
 
-    S^5 is formed one row block at a time (256 rows by BLAS, 128 by gathers,
-    whose two chunk buffers take the rest), so no more than two n x n powers
-    are alive besides S at any depth.
+    Either plan holds no more than two n x n powers besides S at any depth:
+    the dense plan forms S^5 one row block at a time, and the sparse chain
+    drops S^(j-1) once S^j is read.
     """
     depth = _check_int(depth, "depth", 1)
     s = g.adjacency
@@ -269,36 +282,35 @@ def diag_powers(g: Graph, depth: int = 10) -> np.ndarray:
     if depth <= 3:
         return out
     sparse = np.count_nonzero(s) * _GATHER_DENSITY <= g.n**2
-    slots = _gather_slots(g) if sparse else None
-    s2 = _times_s(s, slots, s)
-    dots(3, s, s2)
-    dots(4, s2, s2)
-    if depth > 5:
-        s4 = s2 @ s2.T  # syrk
+    slots = _gather_slots(g) if sparse and depth > 5 else None  # the chain's table
+    p = _wedge_square(g) if sparse else s @ s.T  # S^2; S S^T is a syrk
+    dots(3, s, p)
+    dots(4, p, p)
+    if not sparse and depth > 5:
+        s4 = p @ p.T  # syrk
         dots(5, s, s4)
-        dots(6, s2, s4)
+        dots(6, p, s4)
         dots(8, s4, s4)
-    if depth > 7:
-        # S^5 = S S^4 one row block at a time. Up to depth 11 it feeds only
-        # row dots; deeper, each block is kept in the rows of S^2 that its
-        # row dots have just spent, and the chain S^6, S^7, ... starts from it
-        block = 4 * _GATHER_ROWS if sparse else _ROW_BLOCK
-        for r in range(0, g.n, block):
-            rows = slice(r, r + block)
-            s5 = _times_s(s, slots, s4, rows)
-            dots(7, s2[rows], s5, rows)
-            dots(9, s4[rows], s5, rows)
-            dots(10, s5, s5, rows)
-            if depth > 11:
-                s2[rows] = s5
-            del s5  # before the next block is formed
-        p = s2  # S^(j-1) and S^j slide up from here
-        del s2, s4
-        for j in range(6, depth // 2 + 1):
-            q = _times_s(s, slots, p)
-            dots(2 * j - 1, p, q)
-            dots(2 * j, q, q)
-            p = q
+        if depth > 7:
+            # S^5 = S^4 S one row block at a time. Up to depth 11 it feeds
+            # only row dots; deeper, each block is kept in the rows of S^2
+            # that its row dots have just spent, and the chain starts from it
+            for r in range(0, g.n, _ROW_BLOCK):
+                rows = slice(r, r + _ROW_BLOCK)
+                s5 = s4[rows] @ s
+                dots(7, p[rows], s5, rows)
+                dots(9, s4[rows], s5, rows)
+                dots(10, s5, s5, rows)
+                if depth > 11:
+                    p[rows] = s5
+                del s5  # before the next block is formed
+            del s4
+    # the chain from S^(j-1) = p: the sparse plan's starts at S^3, the dense one's past S^5
+    for j in range(3 if sparse else 6, depth // 2 + 1):
+        q = _gather_product(slots, p) if sparse else p @ s  # S^j
+        dots(2 * j - 1, p, q)
+        dots(2 * j, q, q)
+        p = q
     return out
 
 

@@ -642,3 +642,73 @@ def test_uncertified_pairs_take_the_full_path(count_calls, monkeypatch, prism, k
         assert [args[0] for args in values] == ([] if i < len(separated) else [g1, g2])
     _force_full_path(monkeypatch)
     assert [discriminate_pair(g1, g2, config).to_json() for g1, g2 in pairs] == reports
+
+
+def _independent_sparse_pair(n=300, seed=109):
+    rng = np.random.default_rng(seed)
+    g1, g2 = erdos_renyi(n, 8 / n, rng), erdos_renyi(n, 8 / n, rng)
+    assert g1.num_edges != g2.num_edges
+    return g1, g2
+
+
+@pytest.mark.parametrize(
+    "h, depth", [(PAIR_FILTER, 6), (FilterParams((1.0,)), 3), (FilterParams((0.5, -1.0)), 3)]
+)
+def test_edge_counts_that_differ_cut_the_ladder_to_the_witness(count_calls, h, depth):
+    g1, g2 = _independent_sparse_pair()
+    walks = count_calls(gnn, "diag_powers")
+    report = discriminate_pair(g1, g2, PairConfig(filter=h, check_conditions=True))
+    # p_2 = 2m differs: condition 1 is proven at k = 2 < 10, so the ladders
+    # stop at max(len(filter), 3) columns instead of condition_depth = 10
+    assert [args[1] for args in walks] == [depth, depth]
+    assert report.spectral_witness == (2, 2 * g1.num_edges, 2 * g2.num_edges)
+    assert report.conditions == spectral.ConditionReport(True, None, None, "separable")
+
+
+def test_node_counts_that_differ_prove_condition_1_from_one_column(count_calls):
+    rng = np.random.default_rng(113)
+    g1, g2 = erdos_renyi(30, 0.2, rng), erdos_renyi(31, 0.2, rng)
+    walks = count_calls(gnn, "diag_powers")
+    compares = count_calls(discriminate, "embeddings_isomorphic")
+    for h, depth in ((FilterParams((1.0,)), 1), (PAIR_FILTER, 6)):
+        del walks[:], compares[:]
+        report = discriminate_pair(g1, g2, PairConfig(filter=h, check_conditions=True, condition_depth=4))
+        assert [args[1] for args in walks] == [depth, depth]
+        assert report.spectral_witness == (0, 30, 31)
+        assert report.conditions == spectral.ConditionReport(True, None, None, "separable")
+        assert len(compares) == 1  # the module outputs only, no walk rows
+
+
+@pytest.mark.parametrize("condition_depth", [1, 2, 3])
+def test_edge_counts_decide_condition_1_only_below_condition_depth(count_calls, condition_depth):
+    g1, g2 = _independent_sparse_pair(60, 127)
+    walks = count_calls(gnn, "diag_powers")
+    compares = count_calls(discriminate, "embeddings_isomorphic")
+    checks = count_calls(spectral, "check_separability_conditions")
+    config = PairConfig(filter=FilterParams((1.0,)), check_conditions=True, condition_depth=condition_depth)
+    report = discriminate_pair(g1, g2, config)
+    # columns 0 and 1 are the same on every graph of one size: at depth <= 2
+    # condition 1 fails on the rows and the spectral conditions are looked for
+    assert [args[1] for args in walks] == [condition_depth] * 2
+    assert len(compares) == (2 if condition_depth <= 2 else 1)
+    assert len(checks) == (1 if condition_depth <= 2 else 0)
+    assert report.conditions.cond1_signals_differ is (condition_depth > 2)
+
+
+def test_depth_rule_reports_match_full_depth_ladders(monkeypatch, prism, k33, bihexagon, bipentagon):
+    rng = np.random.default_rng(137)
+    pairs = [(prism, k33), (bihexagon, bipentagon), _cospectral_pair(), (prism, corpus_graph("bihexagon"))]
+    pairs += [(erdos_renyi(n, 8 / n, rng), erdos_renyi(n, 8 / n, rng)) for n in (20, 50, 150)]
+    pairs += [(erdos_renyi(40, 0.1, rng), erdos_renyi(45, 0.1, rng))]
+    pairs += [(csl_base_graph(41, 2), csl_base_graph(41, 3))]  # equal n and m
+    configs = [
+        PairConfig(filter=h, check_conditions=check, condition_depth=d)
+        for h in (FilterParams((1.0,)), FilterParams((0.5, -1.0)), PAIR_FILTER, CSL_FILTER)
+        for check in (False, True)
+        for d in (1, 2, 3, 10)
+    ]
+    reports = [discriminate_pair(g1, g2, c).to_json() for g1, g2 in pairs for c in configs]
+    # the reference: no power sum is known to differ, so every ladder is
+    # max(len(filter), condition_depth) deep and condition 1 is decided on rows
+    monkeypatch.setattr(discriminate, "_low_power_sum_gap", lambda g1, g2: None)
+    assert [discriminate_pair(g1, g2, c).to_json() for g1, g2 in pairs for c in configs] == reports

@@ -252,7 +252,7 @@ def test_diag_powers_covers_every_depth_at_no_more_cost():
         assert cost <= 2 * max(0, depth // 2 - 1), depth
 
 
-@pytest.mark.parametrize("depth", [10, 16])
+@pytest.mark.parametrize("depth", [6, 10, 16])
 def test_diag_powers_holds_two_powers_besides_s(depth):
     g = erdos_renyi(600, 8 / 600, np.random.default_rng(5))
     tracemalloc.start()
@@ -299,6 +299,13 @@ def test_diag_powers_gather_plan_is_exact(monkeypatch):
             np.testing.assert_array_equal(diag_powers(g, depth), ref[:, :depth])
 
 
+def test_wedge_square_counts_s_squared_exactly():
+    for g in _gather_cases() + [Graph(7, np.zeros((7, 7)))]:
+        s2 = gnn._wedge_square(g)
+        assert s2.dtype == np.float64
+        np.testing.assert_array_equal(s2, g.adjacency @ g.adjacency)
+
+
 def _blas_products(g, depth, **extra):
     """(formed by squaring, rows) of each BLAS product diag_powers forms, on an object with n and adjacency."""
     s = g.adjacency.view(_LoggedPower)
@@ -310,7 +317,7 @@ def _blas_products(g, depth, **extra):
 
 def test_diag_powers_plan_follows_density():
     sparse = erdos_renyi(600, 8 / 600, np.random.default_rng(5))  # as in the memory test
-    # the gathered S^2 is a plain array, so the syrk that squares it is not logged either
+    # the sparse plan counts S^2 from wedges and forms every other power by gathers
     for depth in (10, 16):
         assert _blas_products(sparse, depth, edge_index=sparse.edge_index) == []
     for dense in (erdos_renyi(200, 0.5, np.random.default_rng(71)), csl_base_graph(41, 5)):
