@@ -141,13 +141,18 @@ def discriminate_pair(g1: Graph, g2: Graph, config: PairConfig = PairConfig()) -
     rounding), compared at tol, and the witness is an eigenvalue.
 
     With check_conditions, condition 1 (the walk rows differ as multisets)
-    decides alone when it holds. Only when it fails are conditions 2 and 3
-    looked for, on the values-first spectra, with eigenvectors formed only
-    for the groups they visit. The ladders are condition_depth deep, unless
-    the node counts (p_0) or edge counts (p_2 = 2m) differ at some k below
-    condition_depth: then column k's sums differ, which proves condition 1
-    without comparing rows, and the ladders stop at max(len(filter), k + 1)
-    columns, enough for the same power-sum witness.
+    decides alone when it holds. When it fails and every admitted power sum
+    ties, with p_0..p_n among them (n the node count, so fewer nodes than
+    admitted columns), Newton's identities make the characteristic
+    polynomials equal: the spectra are equal, conditions 2 and 3 cannot
+    hold, and the report is inconclusive without looking for them.
+    Otherwise they are looked for on the values-first spectra, which form
+    eigenvectors, by one full decomposition per graph, only when some
+    eigenvalue group is unmatched. The ladders are condition_depth deep,
+    unless the node counts (p_0) or edge counts (p_2 = 2m) differ at some k
+    below condition_depth: then column k's sums differ, which proves
+    condition 1 without comparing rows, and the ladders stop at
+    max(len(filter), k + 1) columns, enough for the same power-sum witness.
 
     When refinement leaves equal colorings, their candidate map is checked
     edge for edge (wl._verified_map). A map that passes proves the pair
@@ -184,6 +189,8 @@ def discriminate_pair(g1: Graph, g2: Graph, config: PairConfig = PairConfig()) -
         spectra = functools.cache(lambda: (spectral._values_first(g1, x1), spectral._values_first(g2, x2)))
 
         witness = spectral._power_sum_witness(g1, g2, x1, x2)
+        # p_0..p_n tie, which fixes the characteristic polynomial
+        spectra_equal = witness is None and spectral._admitted_columns(g1, g2, depth) > g1.n
         if witness is None:
             witness = spectral.spectra_differ(*spectra(), config.tol)
         spectral_verdict = "separable" if witness is not None else "inconclusive"
@@ -196,6 +203,8 @@ def discriminate_pair(g1: Graph, g2: Graph, config: PairConfig = PairConfig()) -
         if config.check_conditions:
             if rows_differ or not embeddings_isomorphic(x1[:, :d], x2[:, :d], config.tol):
                 conditions = spectral.ConditionReport(True, None, None, "separable")
+            elif spectra_equal:
+                conditions = spectral.ConditionReport(False, None, None, "inconclusive")
             else:
                 conditions = spectral.check_separability_conditions(
                     *spectra(), x1[:, :d], x2[:, :d], config.tol

@@ -4,8 +4,8 @@ A `Spectrum` carries eigenvalues sorted ascending, an orthonormal eigenvector
 matrix, and the partition of eigenvalue indices into near-degenerate groups.
 `eigendecompose` builds it eagerly; `discriminate_pair` first compares the
 exact power sums of its walk ladders (`_power_sum_witness`), and only when
-they tie builds it values-first, forming eigenvectors only for the groups
-its condition test visits.
+they tie builds it values-first, with eigenvectors formed by one full
+decomposition the first time its condition test asks for a group's basis.
 On top of that this module builds the separability machinery: grouped-spectrum
 comparison, the three-condition feature test, eigenvalue-isolating polynomial
 filters, and the absolute-eigenvector test for equal simple spectra.
@@ -62,8 +62,8 @@ class Spectrum:
 
     `eigendecompose` fills every field. A values-first spectrum (built inside
     `discriminate_pair`) starts with eigenvectors None and keeps its graph:
-    each group's basis is then formed on first request and cached, and a
-    fallback to one full `eigendecompose` fills eigenvectors in.
+    the first request for a group's basis (`_group_basis`) fills eigenvectors
+    in from one full `eigendecompose` of that graph.
 
     The group values and multiplicities are also held as two arrays, made
     once when the spectrum is built; every group lookup (`find_group`,
@@ -74,7 +74,6 @@ class Spectrum:
     eigenvectors: np.ndarray | None  # orthogonal, column i pairs with eigenvalue i; None: not formed
     groups: tuple[EigenGroup, ...]
     _graph: Graph | None = field(default=None, repr=False)
-    _bases: dict = field(default_factory=dict, repr=False)  # group indices -> basis
     _group_values: np.ndarray = field(init=False, repr=False)  # ascending, one per group
     _group_sizes: np.ndarray = field(init=False, repr=False)   # multiplicities
 
@@ -171,8 +170,8 @@ def _values_first(g: Graph, walks: np.ndarray) -> Spectrum:
     walks holds diag(S^k) in column k, as `gnn.diag_powers` returns it. The
     eigenvalues are checked by the trace identity sum_i lambda_i^k = trace(S^k)
     = sum_v walks[v, k] instead of the residual and orthogonality checks of
-    `eigendecompose`, which need eigenvectors. Eigenvectors are formed per
-    group on request, by `_group_basis`.
+    `eigendecompose`, which need eigenvectors. They are formed, all at once,
+    on the first request for a group's basis (`_group_basis`).
     """
     s = g.adjacency
     try:
@@ -212,6 +211,20 @@ def _check_power_sums(w: np.ndarray, traces: np.ndarray, depth: int) -> None:
         )
 
 
+def _admitted_columns(g1: Graph, g2: Graph, depth: int) -> int:
+    """How many leading columns of depth-deep walk ladders of g1 and g2 are exact.
+
+    A closed walk of length k >= 1 is fixed by its first k - 1 steps, so with
+    Delta the larger maximum degree and n the larger node count, every walk
+    count, matrix-power entry and partial sum behind column k's sum p_k is a
+    nonnegative integer at most n Delta^(k-1). k = 0 (the node counts) is
+    always exact; the first k with n Delta^(k-1) >= 2^53 is not.
+    """
+    n = max(g1.n, g2.n)
+    delta = int(max(g1.degrees.max(), g2.degrees.max()))
+    return next((k for k in range(1, depth) if n * delta ** (k - 1) >= 2**53), depth)
+
+
 def _power_sum_witness(
     g1: Graph, g2: Graph, walks1: np.ndarray, walks2: np.ndarray
 ) -> tuple[int, int, int] | None:
@@ -219,94 +232,25 @@ def _power_sum_witness(
 
     p_k = trace(S^k) = sum_i lambda_i^k is column k's sum of a walk ladder
     (`gnn.diag_powers`), so different p_k prove different spectra with no
-    eigenvalue computed. A column counts only where the float ladder is exact:
-    a closed walk of length k >= 1 is fixed by its first k - 1 steps, so with
-    Delta the larger maximum degree and n the larger node count, every walk
-    count, matrix-power entry and partial sum behind p_k is a nonnegative
-    integer at most n Delta^(k-1). k = 0 (the node counts) is always exact;
-    the first k with n Delta^(k-1) >= 2^53 ends the search.
+    eigenvalue computed. Only the columns `_admitted_columns` admits count.
     """
-    n = max(g1.n, g2.n)
-    delta = int(max(g1.degrees.max(), g2.degrees.max()))
     p1, p2 = walks1.sum(axis=0), walks2.sum(axis=0)
-    for k in range(min(len(p1), len(p2))):
-        if k and n * delta ** (k - 1) >= 2**53:
-            break
+    for k in range(_admitted_columns(g1, g2, min(len(p1), len(p2)))):
         if p1[k] != p2[k]:
             return k, int(p1[k]), int(p2[k])
     return None
 
 
-#: groups one values-first spectrum forms by inverse iteration; one more
-#: request costs about one full eigendecompose, so that is made instead
-_MAX_SOLVED_GROUPS = 4
-
-
 def _group_basis(s: Spectrum, grp: EigenGroup) -> np.ndarray:
     """Orthonormal (n, multiplicity) basis of grp's eigenspace in s.
 
-    Sliced from s.eigenvectors when s holds them. A values-first spectrum
-    forms a group's basis by `_inverse_iteration` on first request and
-    caches it; when that fails its check, or more than _MAX_SOLVED_GROUPS
-    groups are asked for, the graph is decomposed once in full instead.
+    Sliced from s.eigenvectors. A values-first spectrum has none until the
+    first request, which decomposes its graph once in full to fill them in.
     """
     if s.eigenvectors is None:
-        if grp.indices in s._bases:
-            return s._bases[grp.indices]
-        basis = _inverse_iteration(s, grp) if len(s._bases) < _MAX_SOLVED_GROUPS else None
-        if basis is not None:
-            s._bases[grp.indices] = basis
-            return basis
-        # frozen only against callers: the fallback fills the field once
+        # frozen only against callers: the first request fills the field once
         object.__setattr__(s, "eigenvectors", eigendecompose(s._graph).eigenvectors)
     return s.eigenvectors[:, list(grp.indices)]
-
-
-def _inverse_iteration(s: Spectrum, grp: EigenGroup) -> np.ndarray | None:
-    """grp's eigenspace by shifted inverse iteration, or None when it fails `_block_ok`.
-
-    Two solves of (S - sigma I) Y = X, each followed by a QR, starting from a
-    block of multiplicity-many seeded random columns (Parlett, The Symmetric
-    Eigenvalue Problem, ch. 4). sigma sits 1e-10 r off the group's value,
-    since an integer eigenvalue makes S - lambda I exactly singular. After
-    one solve an eigendirection at distance gap is still mixed in at about
-    1e-10 r / gap; a residual check cannot see that (the residual is the mix
-    times gap), so the second solve always runs and squares the mix away.
-    """
-    a = s._graph.adjacency
-    r = max(1.0, float(np.max(np.abs(s.eigenvalues))))
-    shifted = a.copy()
-    shifted[np.diag_indices(s.n)] -= grp.value + 1e-10 * r
-    q = np.random.default_rng(0).standard_normal((s.n, grp.multiplicity))
-    try:
-        for _ in range(2):
-            q = np.linalg.qr(np.linalg.solve(shifted, q))[0]
-    except np.linalg.LinAlgError:
-        return None
-    return q if _block_ok(s, grp, q) else None
-
-
-def _block_ok(s: Spectrum, grp: EigenGroup, q: np.ndarray) -> bool:
-    """q passes `eigendecompose`'s residual and orthogonality bounds, and spans grp's eigenvalues.
-
-    The residual is the block residual S q - q (q^T S q), so eigenvalues split
-    inside the group do not count against it; the eigenvalues of q^T S q must
-    lie within the grouping tolerance of the group's range.
-    """
-    a = s._graph.adjacency
-    aq = a @ q
-    ritz = q.T @ aq
-    resid = np.linalg.norm(aq - q @ ritz, axis=0)
-    orth = np.max(np.abs(q.T @ q - np.eye(q.shape[1])))
-    tol = default_group_tol(s.eigenvalues)
-    lo, hi = s.eigenvalues[grp.indices[0]] - tol, s.eigenvalues[grp.indices[-1]] + tol
-    mu = np.linalg.eigvalsh(ritz)
-    return bool(
-        resid.max() <= EPS_RESID * max(np.linalg.norm(a), 1.0)
-        and orth <= EPS_ORTH
-        and lo <= mu[0]
-        and mu[-1] <= hi
-    )
 
 
 def eigenvector_one_products(s: Spectrum) -> np.ndarray:
@@ -417,9 +361,8 @@ def check_separability_conditions(
     3. some shared eigenvalue has different multiplicities and a feature
        component outside the shared part of the two eigenspaces.
     A Spectrum may stand for its graph, which then is not decomposed again.
-    Eigenvectors are read only for the groups conditions 2 and 3 visit, so a
-    values-first Spectrum forms only those (condition 2 stops at its first
-    witness).
+    Eigenvectors are read only when conditions 2 or 3 visit a group, so a
+    values-first Spectrum whose groups all match forms none.
     """
     x1, x2 = _as_rows(x1), _as_rows(x2)
     if x1.shape[0] != g1.n or x2.shape[0] != g2.n:

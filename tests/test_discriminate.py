@@ -712,3 +712,27 @@ def test_depth_rule_reports_match_full_depth_ladders(monkeypatch, prism, k33, bi
     # max(len(filter), condition_depth) deep and condition 1 is decided on rows
     monkeypatch.setattr(discriminate, "_low_power_sum_gap", lambda g1, g2: None)
     assert [discriminate_pair(g1, g2, c).to_json() for g1, g2 in pairs for c in configs] == reports
+
+
+def test_power_sums_through_p_n_skip_conditions_2_and_3(count_calls, prism, k33, bihexagon):
+    # relabeled pairs that 1-WL leaves symmetric, so they take the full path
+    # and condition 1 fails. Ladders are max(6, depth) deep and admit every
+    # column here; only n < columns covers p_0..p_n, whose tie proves the
+    # spectra equal, so the spectral conditions are skipped
+    rng = np.random.default_rng(139)
+    swap = Permutation((3, 5, 0, 4, 1, 2))  # not an automorphism of either 6-node graph
+    csl = csl_base_graph(41, 5)
+    pairs = [(g, apply_permutation(g, swap)) for g in (prism, k33)]
+    pairs += [(g, apply_permutation(g, Permutation.random(g.n, rng))) for g in (bihexagon, csl)]
+    checks = count_calls(spectral, "check_separability_conditions")
+    calls = {}
+    for g, h in pairs:
+        assert wl._verified_map(g, h, wl._joint_refinement(g, h)) is None
+        for depth in (3, 6, 10):
+            del checks[:]
+            report = discriminate_pair(g, h, PairConfig(check_conditions=True, condition_depth=depth))
+            assert report.conditions == spectral.ConditionReport(False, None, None, "inconclusive")
+            calls[g.name, depth] = len(checks)
+    # at depth 6 the 6-node pairs sit on the boundary: p_6 is not in the ladder
+    expected = {(g.name, d): int(g.n >= max(6, d)) for g, _ in pairs for d in (3, 6, 10)}
+    assert calls == expected and sum(expected.values()) == 10

@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 import runpy
 from pathlib import Path
@@ -13,6 +14,7 @@ from spectrawl import (
     corpus,
     corpus_graph,
     diag_powers,
+    discriminate_pair,
     eigendecompose,
     eigenspace,
     eigenvector_one_products,
@@ -530,15 +532,21 @@ def test_trace_check_catches_a_moved_eigenvalue(monkeypatch, g, depth):
             spectral._values_first(g, walks)
 
 
-def _benchmark_graphs():
-    """Every graph of perfbench's pair_small and pair_large workloads at seeds 7 and 11."""
+def _benchmark_pairs(seeds):
+    """(pair, config) of every op of perfbench's pair_small and pair_large workloads at seeds."""
     build = runpy.run_path(str(Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"))["build"]
-    for seed in (7, 11):
+    for seed in seeds:
         for name in ("pair_small", "pair_large"):
             for op in build(name, seed).ops:
-                pair = inspect.getclosurevars(op.run).nonlocals["pair"]
-                yield pair.g1
-                yield pair.g2
+                nonlocals = inspect.getclosurevars(op.run).nonlocals
+                yield nonlocals["pair"], nonlocals["config"]
+
+
+def _benchmark_graphs():
+    """Every graph of perfbench's pair_small and pair_large workloads at seeds 7 and 11."""
+    for pair, _ in _benchmark_pairs((7, 11)):
+        yield pair.g1
+        yield pair.g2
 
 
 def test_trace_check_passes_on_benchmark_graphs():
@@ -548,6 +556,20 @@ def test_trace_check_passes_on_benchmark_graphs():
         assert s.eigenvectors is None and len(s.eigenvalues) == g.n
         count += 1
     assert count == 2 * 2 * (300 + 8)
+
+
+def test_benchmark_pairs_form_no_eigenvectors(count_calls):
+    # values-first spectra form eigenvectors by one full decomposition, which
+    # is cheap only because no benchmark pair asks for them, with or without
+    # the condition test
+    eig = count_calls(spectral, "eigendecompose")
+    eigh = count_calls(np.linalg, "eigh")
+    count = 0
+    for pair, config in _benchmark_pairs((7,)):
+        for c in (config, dataclasses.replace(config, check_conditions=not config.check_conditions)):
+            discriminate_pair(pair.g1, pair.g2, c)
+            count += 1
+    assert (eig, eigh, count) == ([], [], 2 * (300 + 8))
 
 
 # ---------------------------------------------------------------------------
@@ -567,6 +589,8 @@ def test_ladder_column_sums_are_the_exact_traces_where_admitted():
     for n, p in shapes:
         g = erdos_renyi(n, p, rng)
         sums = diag_powers(g, 10).sum(axis=0)
+        oracle = [len(_admitted(g, d)) for d in range(11)]
+        assert [spectral._admitted_columns(g, g, d) for d in range(11)] == oracle
         s, power = g.adjacency.astype(np.int64), np.eye(n, dtype=np.int64)
         for k in _admitted(g, 10):
             assert float(sums[k]).is_integer() and int(sums[k]) == int(np.trace(power)), (n, p, k)
@@ -612,51 +636,20 @@ def test_power_sum_guard_cuts_the_dense_ladder():
         assert witness == (expected if k <= last else None), k
 
 
-def test_inverse_iteration_projectors_match_eigendecompose():
-    seen = set()
-    for entry in corpus():
-        lazy, eager = _values_first(entry.graph), eigendecompose(entry.graph)
-        assert [grp.indices for grp in lazy.groups] == [grp.indices for grp in eager.groups]
-        for grp in lazy.groups:
-            q = spectral._inverse_iteration(lazy, grp)
-            v = eager.eigenvectors[:, list(grp.indices)]
-            assert np.max(np.abs(q @ q.T - v @ v.T)) <= 1e-12
-            seen.add((entry.key, round(grp.value, 3), grp.multiplicity))
-    # the degenerate groups, whose shifts sit next to an exactly singular S - lambda I
-    assert {("prism", -2.0, 2), ("prism", 0.0, 2), ("k33", 0.0, 4)} <= seen
-    assert {("bipentagon", -1.618, 2), ("bipentagon", 0.618, 2)} <= seen
-
-
-def test_group_basis_is_cached_then_falls_back_to_one_decomposition(count_calls):
+def test_group_basis_makes_one_decomposition_on_first_request(count_calls):
     g = corpus_graph("bihexagon")  # 10 simple groups
+    expected = eigendecompose(g).eigenvectors
     s = _values_first(g)
-    solves = count_calls(spectral, "_inverse_iteration")
     eig = count_calls(spectral, "eigendecompose")
-    first = [spectral._group_basis(s, grp) for grp in s.groups[: spectral._MAX_SOLVED_GROUPS]]
-    assert spectral._group_basis(s, s.groups[0]) is first[0]
-    assert (len(solves), len(eig), s.eigenvectors) == (spectral._MAX_SOLVED_GROUPS, 0, None)
-    spectral._group_basis(s, s.groups[-1])
-    assert (len(solves), len(eig)) == (spectral._MAX_SOLVED_GROUPS, 1)
-    np.testing.assert_array_equal(s.eigenvectors, eigendecompose(g).eigenvectors)
+    np.testing.assert_array_equal(spectral._group_basis(s, s.groups[3]), expected[:, [3]])
+    assert len(eig) == 1
+    np.testing.assert_array_equal(s.eigenvectors, expected)
     for grp in s.groups:
         spectral._group_basis(s, grp)
-    assert (len(solves), len(eig)) == (spectral._MAX_SOLVED_GROUPS, 1)
+    assert len(eig) == 1
 
 
-def _fail_block_check(monkeypatch):
-    monkeypatch.setattr(spectral, "_block_ok", lambda *args: False)
-
-
-def _fail_solve(monkeypatch):
-    def singular(*args):
-        raise np.linalg.LinAlgError("Singular matrix")
-
-    monkeypatch.setattr(np.linalg, "solve", singular)
-
-
-@pytest.mark.parametrize("fail", [_fail_block_check, _fail_solve])
-def test_values_first_fallback_gives_the_eager_report(monkeypatch, count_calls, fail):
-    fail(monkeypatch)
+def test_values_first_fallback_gives_the_eager_report(count_calls):
     eig = count_calls(spectral, "eigendecompose")
     rng = np.random.default_rng(5)
     empty4, edge4 = from_edge_list(4, []), from_edge_list(4, [(0, 1)])
@@ -666,8 +659,8 @@ def test_values_first_fallback_gives_the_eager_report(monkeypatch, count_calls, 
         x1, x2 = diag_powers(g1, 3), diag_powers(g2, 3)
         calls = len(eig)
         lazy = check_separability_conditions(_values_first(g1, 3), _values_first(g2, 3), x1, x2)
-        assert len(eig) > calls  # the fallback ran
+        assert len(eig) > calls  # a group was visited, so the graph was decomposed
         eager = check_separability_conditions(g1, g2, x1, x2)
-        # the fallback's vectors are eigendecompose's: weights are bit-equal
+        # the values-first vectors are eigendecompose's: weights are bit-equal
         r = max(1.0, *(np.abs(eigendecompose(g).eigenvalues).max() for g in (g1, g2)))
         assert_conditions_agree(lazy, eager, r, rel=0.0)
