@@ -649,7 +649,27 @@ def test_group_basis_makes_one_decomposition_on_first_request(count_calls):
     assert len(eig) == 1
 
 
-def test_values_first_fallback_gives_the_eager_report(count_calls):
+def _fail(name):
+    def raising(*args, **kwargs):
+        raise np.linalg.LinAlgError(f"{name} failed")
+
+    return raising
+
+
+def _fail_block_check(monkeypatch):
+    # a per-group block would be orthonormalised by QR before its check
+    monkeypatch.setattr(np.linalg, "qr", _fail("qr"))
+
+
+def _fail_solve(monkeypatch):
+    monkeypatch.setattr(np.linalg, "solve", _fail("solve"))
+
+
+@pytest.mark.parametrize("fail", [_fail_block_check, _fail_solve])
+def test_values_first_fallback_gives_the_eager_report(monkeypatch, count_calls, fail):
+    # the one full decomposition is the only path to eigenvectors: no per-group
+    # block is solved for or checked, so failing either changes nothing
+    fail(monkeypatch)
     eig = count_calls(spectral, "eigendecompose")
     rng = np.random.default_rng(5)
     empty4, edge4 = from_edge_list(4, []), from_edge_list(4, [(0, 1)])
