@@ -135,17 +135,20 @@ def discriminate_pair(g1: Graph, g2: Graph, config: PairConfig = PairConfig()) -
     sums are the power sums p_k = trace(S^k) = sum_i lambda_i^k, exact where
     spectral._power_sum_witness admits them, and the first k whose p_k differ
     is the witness (k, p_k(g1), p_k(g2)); no eigenvalue is computed then.
-    Only when every admitted p_k ties is the spectrum built values-first:
-    eigenvalues from eigvalsh, checked against the walk counts by the same
-    trace identity (a spectral.ConvergenceFailure when they disagree beyond
-    rounding), compared at tol, and the witness is an eigenvalue.
+    When every admitted power sum ties, with p_0..p_n among them (n the node
+    count, so fewer nodes than admitted columns), Newton's identities make
+    the characteristic polynomials equal: the spectra are equal, and the
+    spectral verdict is inconclusive with no eigenvalue computed either.
+    Only when every admitted p_k ties short of p_n is the spectrum built
+    values-first: eigenvalues from eigvalsh, checked against the walk counts
+    by the same trace identity (a spectral.ConvergenceFailure when they
+    disagree beyond rounding), compared at tol, and the witness is an
+    eigenvalue.
 
     With check_conditions, condition 1 (the walk rows differ as multisets)
-    decides alone when it holds. When it fails and every admitted power sum
-    ties, with p_0..p_n among them (n the node count, so fewer nodes than
-    admitted columns), Newton's identities make the characteristic
-    polynomials equal: the spectra are equal, conditions 2 and 3 cannot
-    hold, and the report is inconclusive without looking for them.
+    decides alone when it holds. When it fails and p_0..p_n tie, conditions
+    2 and 3 cannot hold on the equal spectra, and the report is inconclusive
+    without looking for them.
     Otherwise they are looked for on the values-first spectra, which form
     eigenvectors, by one full decomposition per graph, only when some
     eigenvalue group is unmatched. The ladders are condition_depth deep,
@@ -155,15 +158,16 @@ def discriminate_pair(g1: Graph, g2: Graph, config: PairConfig = PairConfig()) -
     max(len(filter), k + 1) columns, enough for the same power-sum witness.
 
     When refinement leaves equal colorings, their candidate map is checked
-    edge for edge (wl._verified_map). A map that passes proves the pair
-    isomorphic, and every verdict follows from that: only g1's walk counts
-    are built (to depth len(filter)), g2's are g1's rows moved by the map,
-    and no eigenvalue is computed. Pairs it does not certify, such as
+    edge for edge (wl._verified_map), once per pair (wl._certify): a
+    refinement that reaches a discrete partition has already made that check
+    to decide its last round. A map that passes proves the pair isomorphic,
+    and every verdict follows from that: only g1's walk counts are built (to
+    depth len(filter)), g2's are g1's rows moved by the map, and no
+    eigenvalue is computed. Pairs it does not certify, such as
     vertex-transitive ones, take the full path.
     """
-    colorings = wl._joint_refinement(g1, g2)
+    colorings, mapping = wl._certify(g1, g2)
     wl_verdict = "distinguished" if colorings is None else "indistinguishable"
-    mapping = None if colorings is None else wl._verified_map(g1, g2, colorings)
 
     conditions = None
     if mapping is not None:
@@ -191,7 +195,7 @@ def discriminate_pair(g1: Graph, g2: Graph, config: PairConfig = PairConfig()) -
         witness = spectral._power_sum_witness(g1, g2, x1, x2)
         # p_0..p_n tie, which fixes the characteristic polynomial
         spectra_equal = witness is None and spectral._admitted_columns(g1, g2, depth) > g1.n
-        if witness is None:
+        if witness is None and not spectra_equal:
             witness = spectral.spectra_differ(*spectra(), config.tol)
         spectral_verdict = "separable" if witness is not None else "inconclusive"
 

@@ -53,16 +53,18 @@ def _refine_step(colorings: list[np.ndarray], neighbor_lists: list[np.ndarray]):
     any partition changed.
     """
     width = max(nbrs.shape[1] for nbrs in neighbor_lists)
-    rows = []
+    # one key array, filled in place: fewer large temporaries to fault in
+    keys = np.full((sum(len(c) for c in colorings), 1 + width), -1, dtype=np.int64)
+    start = 0
     for colors, nbrs in zip(colorings, neighbor_lists):
-        row = np.full((len(colors), 1 + width), -1, dtype=np.int64)
+        row = keys[start : start + len(colors)]
+        start += len(colors)
         row[:, 0] = colors
         # index -1 reads the appended sentinel, which sorts after every color
-        nbr_colors = np.sort(np.append(colors, np.iinfo(np.int64).max)[nbrs], axis=1)
+        nbr_colors = np.append(colors, np.iinfo(np.int64).max)[nbrs]
+        nbr_colors.sort(axis=1)
         nbr_colors[nbrs < 0] = -1
         row[:, 1 : 1 + nbrs.shape[1]] = nbr_colors
-        rows.append(row)
-    keys = np.concatenate(rows)
     order = np.lexsort(keys.T[::-1])
     ranked = keys[order]
     starts = np.ones(len(keys), dtype=bool)
@@ -80,7 +82,8 @@ def _neighbor_lists(g: Graph) -> np.ndarray:
     indptr, indices = g.edge_index
     deg = np.diff(indptr)
     out = np.full((g.n, deg.max(initial=0)), -1, dtype=np.int64)
-    out[np.repeat(np.arange(g.n), deg), np.arange(len(indices)) - np.repeat(indptr[:-1], deg)] = indices
+    # a row-major mask fill keeps the CSR order: row v takes its deg[v] indices
+    out[np.arange(out.shape[1]) < deg[:, None]] = indices
     return out
 
 
@@ -100,15 +103,23 @@ def wl_refine(g: Graph, init: str = "uniform") -> WLColoring:
 
 
 def _joint_refinement(g1: Graph, g2: Graph, init: str = "uniform"):
-    """Refine both graphs jointly; their two final colorings, or None once they differ.
+    """Refine both graphs jointly: (colorings, mapping), or (None, None) once they differ.
 
-    The relabeling is shared between the two graphs so color identifiers are
-    directly comparable. None comes as soon as the two color histograms
-    differ: first on the degree multisets, which are the histograms after one
-    round from the uniform init and are compared before any neighbor list is
-    built, then after every joint round. Refinement only splits classes, so a
-    class whose counts differ between the graphs always leaves a subclass
-    whose counts differ, and the final multisets would differ too.
+    The relabeling is shared, so color identifiers are comparable across the
+    graphs. Verdict and colorings, labels included, are those of joint
+    refinement from init to stability, but only rounds that can change them run:
+    - The degree multisets are compared first, before any neighbor list. One
+      round from the uniform init ranks the degrees, so that init starts from
+      the degree ranks; one class (a regular pair) is already stable.
+    - The histograms are compared after every round: refinement only splits
+      classes, so counts that differ once still differ at the end.
+    - Once both colorings are discrete, the next round would split a class iff
+      the color bijection phi is no isomorphism (each color names one node, so
+      v's neighbor colors equal phi(v)'s iff phi(N(v)) = N(phi(v))).
+      _verified_map decides it: a passing map is returned with the colorings,
+      which that round would keep; a failing one means "distinguished".
+    mapping is None where refinement ends stable but not discrete: no map was
+    checked there.
     """
     colorings = [_initial_colors(g1, init), _initial_colors(g2, init)]
 
@@ -116,17 +127,25 @@ def _joint_refinement(g1: Graph, g2: Graph, init: str = "uniform"):
         return np.array_equal(np.sort(a), np.sort(b))
 
     if not same_histogram(g1.degrees, g2.degrees):
-        return None
-    nbrs = [_neighbor_lists(g1), _neighbor_lists(g2)]
-    for _ in range(g1.n + g2.n + 1):
+        return None, None
+    if init == "uniform":
+        colorings = [_initial_colors(g1, "degree"), _initial_colors(g2, "degree")]
+    nbrs, changed = None, True
+    # labels are dense over both graphs, and each graph holds every one
+    while changed and (classes := colorings[0].max(initial=0) + 1) > 1:
+        if classes == g1.n:
+            mapping = _verified_map(g1, g2, colorings)
+            return (None, None) if mapping is None else (colorings, mapping)
+        if nbrs is None:
+            nbrs = [_neighbor_lists(g1), _neighbor_lists(g2)]
         colorings, changed = _refine_step(colorings, nbrs)
-        if not (changed and same_histogram(*colorings)):
-            break
-    return colorings if same_histogram(*colorings) else None
+        if not same_histogram(*colorings):
+            return None, None
+    return colorings, None
 
 
 def _verified_map(g1: Graph, g2: Graph, colorings) -> np.ndarray | None:
-    """An isomorphism g1 -> g2 read off the colorings of _joint_refinement, or None.
+    """An isomorphism g1 -> g2 read off equal-histogram joint colorings, or None.
 
     mapping[v] is the image of node v. The candidate pairs the nodes of each
     color in index order: node order1[i] of g1 maps to node order2[i] of g2,
@@ -156,10 +175,24 @@ def wl_distinguish(g1: Graph, g2: Graph, init: str = "uniform") -> str:
     """Joint refinement verdict: "distinguished" or "indistinguishable".
 
     The verdict compares the sorted final color multisets of a joint
-    refinement (`_joint_refinement`), which stops as soon as the histograms
-    differ; every verdict is the one full refinement gives.
+    refinement (`_joint_refinement`). It starts from the degree ranks, stops
+    as soon as the histograms differ, and decides the round after a discrete
+    partition by one exact edge check; every verdict is the one full
+    refinement from init gives.
     """
-    return "distinguished" if _joint_refinement(g1, g2, init) is None else "indistinguishable"
+    return "distinguished" if _joint_refinement(g1, g2, init)[0] is None else "indistinguishable"
+
+
+def _certify(g1: Graph, g2: Graph):
+    """1-WL's joint colorings (None: distinguished) and a verified isomorphism g1 -> g2, or None.
+
+    The edge check runs at most once: _joint_refinement runs it when it stops
+    at a discrete partition, and this runs it on any other equal colorings.
+    """
+    colorings, mapping = _joint_refinement(g1, g2)
+    if colorings is not None and mapping is None:
+        mapping = _verified_map(g1, g2, colorings)
+    return colorings, mapping
 
 
 def wl_feature_matrix(g: Graph, depth: int) -> np.ndarray:

@@ -3,7 +3,7 @@ import bisect
 import numpy as np
 import pytest
 
-from spectrawl import Permutation, apply_permutation, corpus_graph, erdos_renyi, spectral
+from spectrawl import Permutation, apply_permutation, corpus_graph, erdos_renyi, spectral, wl
 from spectrawl.spectral import EigenGroup
 
 
@@ -136,3 +136,19 @@ def tuple_rows_isomorphic(y1, y2, tol=1e-6):
     digits = max(0, int(np.ceil(-np.log10(tol))))
     rows1, rows2 = (sorted(map(tuple, np.round(y, digits) + 0.0)) for y in (y1, y2))
     return rows1 == rows2
+
+
+def full_refinement(g1, g2, init):
+    """Joint refinement from init run to stability, with no early exit.
+
+    Returns the verdict, the round count and the final colorings.
+    """
+    colorings = [wl._initial_colors(g, init) for g in (g1, g2)]
+    nbrs = [wl._neighbor_lists(g) for g in (g1, g2)]
+    rounds = 0
+    for rounds in range(1, g1.n + g2.n + 2):
+        colorings, changed = wl._refine_step(colorings, nbrs)
+        if not changed:
+            break
+    same = np.array_equal(*(np.sort(cs) for cs in colorings))
+    return ("indistinguishable" if same else "distinguished"), rounds, colorings

@@ -318,11 +318,12 @@ def _moved_eigenvalue(s, eigvalsh=np.linalg.eigvalsh):
 @pytest.mark.parametrize("eigvalsh", [_raise_linalg_error, _moved_eigenvalue])
 def test_discriminate_eigensolver_failure_is_not_a_verdict(capsys, monkeypatch, tmp_path, eigvalsh, fmt):
     # exit 1 would read as "inconclusive pair"; a numerical failure says nothing
-    # about the pair. Star K1,4 and C4 plus an isolated node share the spectrum
-    # {2, -2, 0, 0, 0}, so their power sums tie and the eigensolver runs
+    # about the pair. Star K1,4 and C4 padded with isolated nodes to 6 share the
+    # spectrum {2, -2, 0, 0, 0, 0}, so their power sums tie; p_0..p_5 cannot
+    # prove 6-node spectra equal, so the eigensolver runs
     star, c4k1 = tmp_path / "star.txt", tmp_path / "c4k1.txt"
-    save_graph(from_edge_list(5, [(0, v) for v in range(1, 5)]), star)
-    save_graph(from_edge_list(5, [(0, 1), (1, 2), (2, 3), (3, 0)]), c4k1)
+    save_graph(from_edge_list(6, [(0, v) for v in range(1, 5)]), star)
+    save_graph(from_edge_list(6, [(0, 1), (1, 2), (2, 3), (3, 0)]), c4k1)
     monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
     code, out, err = run(capsys, "discriminate", str(star), str(c4k1), "--format", fmt)
     assert code == 2

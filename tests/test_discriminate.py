@@ -137,15 +137,16 @@ def test_discriminate_with_condition_check(prism, k33):
     assert report.conditions.verdict == "separable"
 
 
-def _cospectral_pair():
-    """Star K1,4 and C4 plus an isolated node: spectrum {2, -2, 0, 0, 0} for both."""
-    star = from_edge_list(5, [(0, v) for v in range(1, 5)], name="star")
-    return star, from_edge_list(5, [(0, 1), (1, 2), (2, 3), (3, 0)], name="c4k1")
+def _cospectral_pair(n=5):
+    """Star K1,4 and C4, each padded to n nodes with isolated ones: spectrum {2, -2, 0, ..., 0} for both."""
+    star = from_edge_list(n, [(0, v) for v in range(1, 5)], name="star")
+    return star, from_edge_list(n, [(0, 1), (1, 2), (2, 3), (3, 0)], name="c4k1")
 
 
 def test_discriminate_pair_computes_spectrum_and_walks_once(count_calls):
-    # every power sum ties, so the spectrum is built, once per graph
-    star, c4k1 = _cospectral_pair()
+    # every power sum ties, and with 10 nodes the 10 columns stop short of
+    # p_10, so the spectrum is built, once per graph
+    star, c4k1 = _cospectral_pair(10)
     eig = count_calls(spectral, "eigendecompose")
     values = count_calls(spectral, "_values_first")
     walks = count_calls(gnn, "diag_powers")
@@ -154,7 +155,7 @@ def test_discriminate_pair_computes_spectrum_and_walks_once(count_calls):
     assert len(eig) == 0  # values-first: no full decomposition
     assert [args[0] for args in values] == [star, c4k1]
     assert [args[1] for args in walks] == [10, 10]  # max(len(filter), condition_depth)
-    assert [v[1].shape for v in values] == [(5, 10), (5, 10)]  # checked against that ladder
+    assert [v[1].shape for v in values] == [(10, 10), (10, 10)]  # checked against that ladder
 
 
 def test_power_sums_separate_without_the_eigensolver(count_calls, prism, k33):
@@ -575,13 +576,19 @@ _CERTIFIED_CONFIGS = (
 )
 
 
-def _relabeled_sparse_pairs():
+def _relabeled_pairs():
+    """Relabeled pairs that 1-WL certifies.
+
+    Refinement makes the three sparse graphs and the dense one discrete. The
+    last graph has two leaves on one node, twins that no refinement splits.
+    """
     rng = np.random.default_rng(101)
-    pairs = []
-    for n in (30, 120, 400):
-        g = erdos_renyi(n, 8 / n, rng)
-        pairs.append((g, apply_permutation(g, Permutation.random(n, rng))))
-    return pairs
+    graphs = [erdos_renyi(n, p, rng) for n, p in ((30, 8 / 30), (120, 8 / 120), (400, 8 / 400), (80, 0.5))]
+    twins = np.zeros((32, 32))
+    twins[:30, :30] = graphs[0].adjacency
+    twins[0, 30:] = twins[30:, 0] = 1.0
+    graphs.append(Graph(32, twins))
+    return [(g, apply_permutation(g, Permutation.random(g.n, rng))) for g in graphs]
 
 
 def _dense_relabeled_circulant(n=400):
@@ -596,25 +603,33 @@ def _dense_relabeled_circulant(n=400):
 
 
 def _force_full_path(monkeypatch):
-    monkeypatch.setattr(wl, "_verified_map", lambda g1, g2, colorings: None)
+    # keep 1-WL's colorings, drop its certificate
+    certify = wl._certify
+    monkeypatch.setattr(wl, "_certify", lambda g1, g2: (certify(g1, g2)[0], None))
 
 
-def test_certified_pair_builds_one_ladder_and_no_spectrum(count_calls):
+def test_certified_pair_builds_one_ladder_and_no_spectrum(count_calls, monkeypatch):
     values = count_calls(spectral, "_values_first")
     eigvalsh = count_calls(np.linalg, "eigvalsh")
     walks = count_calls(gnn, "diag_powers")
-    for g1, g2 in _relabeled_sparse_pairs():
+    checks = count_calls(wl, "_verified_map")
+    refine, refined = wl._joint_refinement, []
+    monkeypatch.setattr(wl, "_joint_refinement", lambda *args: refined.append(refine(*args)) or refined[-1])
+    for g1, g2 in _relabeled_pairs():
         for config in _CERTIFIED_CONFIGS:
-            del walks[:]
+            del walks[:], checks[:]
             report = discriminate_pair(g1, g2, config)
             assert report.overall == "inconclusive"
             assert [(args[0], args[1]) for args in walks] == [(g1, len(config.filter))]
             assert walks[0][0] is g1
+            assert len(checks) == 1  # the edge check runs once per pair
     assert values == [] and eigvalsh == []
+    # the discrete pairs' maps come from the check that ended their refinement
+    assert [mapping is not None for _, mapping in refined] == [True] * 12 + [False] * 3
 
 
 def test_certified_reports_match_the_full_path(monkeypatch):
-    pairs = _relabeled_sparse_pairs()
+    pairs = _relabeled_pairs()
     reports = [discriminate_pair(g1, g2, c).to_json() for g1, g2 in pairs for c in _CERTIFIED_CONFIGS]
     _force_full_path(monkeypatch)
     assert [discriminate_pair(g1, g2, c).to_json() for g1, g2 in pairs for c in _CERTIFIED_CONFIGS] == reports
@@ -636,10 +651,12 @@ def test_uncertified_pairs_take_the_full_path(count_calls, monkeypatch, prism, k
     values = count_calls(spectral, "_values_first")
     reports = []
     for i, (g1, g2) in enumerate(pairs):
-        assert wl._verified_map(g1, g2, wl._joint_refinement(g1, g2)) is None
+        assert wl._certify(g1, g2)[1] is None
         del values[:]
         reports.append(discriminate_pair(g1, g2, config).to_json())
-        assert [args[0] for args in values] == ([] if i < len(separated) else [g1, g2])
+        # the prism's 10 columns hold p_0..p_6, whose tie proves the spectra equal
+        spectra_built = i >= len(separated) and g1.n >= 10
+        assert [args[0] for args in values] == ([g1, g2] if spectra_built else [])
     _force_full_path(monkeypatch)
     assert [discriminate_pair(g1, g2, config).to_json() for g1, g2 in pairs] == reports
 
@@ -725,14 +742,17 @@ def test_power_sums_through_p_n_skip_conditions_2_and_3(count_calls, prism, k33,
     pairs = [(g, apply_permutation(g, swap)) for g in (prism, k33)]
     pairs += [(g, apply_permutation(g, Permutation.random(g.n, rng))) for g in (bihexagon, csl)]
     checks = count_calls(spectral, "check_separability_conditions")
+    eigvalsh = count_calls(np.linalg, "eigvalsh")
     calls = {}
     for g, h in pairs:
-        assert wl._verified_map(g, h, wl._joint_refinement(g, h)) is None
+        assert wl._certify(g, h)[1] is None
         for depth in (3, 6, 10):
-            del checks[:]
+            del checks[:], eigvalsh[:]
             report = discriminate_pair(g, h, PairConfig(check_conditions=True, condition_depth=depth))
             assert report.conditions == spectral.ConditionReport(False, None, None, "inconclusive")
-            calls[g.name, depth] = len(checks)
-    # at depth 6 the 6-node pairs sit on the boundary: p_6 is not in the ladder
-    expected = {(g.name, d): int(g.n >= max(6, d)) for g, _ in pairs for d in (3, 6, 10)}
-    assert calls == expected and sum(expected.values()) == 10
+            assert (report.spectral_verdict, report.spectral_witness) == ("inconclusive", None)
+            calls[g.name, depth] = (len(checks), len(eigvalsh))
+    # at depth 6 the 6-node pairs sit on the boundary: p_6 is not in the
+    # ladder. Where p_0..p_n tie no eigenvalue is computed either
+    expected = {(g.name, d): (int(g.n >= max(6, d)), 2 * int(g.n >= max(6, d))) for g, _ in pairs for d in (3, 6, 10)}
+    assert calls == expected and sum(c for c, _ in expected.values()) == 10

@@ -26,7 +26,7 @@ from spectrawl import (
     isolating_filter,
     spectra_differ,
 )
-from spectrawl import spectral
+from spectrawl import spectral, wl
 from spectrawl.discriminate import PAIR_FILTER
 from spectrawl.gnn import DimensionMismatchError
 from spectrawl.spectral import (
@@ -40,6 +40,7 @@ from spectrawl.spectral import (
 from conftest import (
     assert_conditions_agree,
     bisect_find_group,
+    full_refinement,
     loop_group_indices,
     loop_unmatched_groups,
     random_graph_pairs,
@@ -570,6 +571,25 @@ def test_benchmark_pairs_form_no_eigenvectors(count_calls):
             discriminate_pair(pair.g1, pair.g2, c)
             count += 1
     assert (eig, eigh, count) == ([], [], 2 * (300 + 8))
+
+
+def test_benchmark_reports_match_refinement_to_stability(monkeypatch):
+    # the refinement's degree start and discrete stop change no report: the
+    # reference refines from the uniform init to stability, and its equal
+    # colorings are checked for a certificate afterwards
+    cases = [
+        (pair, c)
+        for pair, config in _benchmark_pairs((7,))
+        for c in (config, dataclasses.replace(config, check_conditions=not config.check_conditions))
+    ]
+    reports = [discriminate_pair(pair.g1, pair.g2, c).to_json() for pair, c in cases]
+
+    def reference(g1, g2, init="uniform"):
+        verdict, _, colorings = full_refinement(g1, g2, init)
+        return (colorings if verdict == "indistinguishable" else None), None
+
+    monkeypatch.setattr(wl, "_joint_refinement", reference)
+    assert [discriminate_pair(pair.g1, pair.g2, c).to_json() for pair, c in cases] == reports
 
 
 # ---------------------------------------------------------------------------

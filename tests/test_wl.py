@@ -7,6 +7,7 @@ from spectrawl import (
     Graph,
     Permutation,
     apply_permutation,
+    csl_base_graph,
     erdos_renyi,
     from_edge_list,
     is_isomorphic_bruteforce,
@@ -16,7 +17,7 @@ from spectrawl import (
 )
 from spectrawl import wl
 
-from conftest import random_graph_pairs
+from conftest import full_refinement, random_graph_pairs
 
 
 def _classes(colors):
@@ -214,6 +215,11 @@ def test_distinguish_matches_dict_keyed_oracle():
             verdict = wl_distinguish(g1, g2, init)
             assert verdict == _oracle_distinguish(g1, g2, init)
             verdicts.append(verdict)
+            # equal colorings are the stable ones, labels included
+            colorings, _ = wl._joint_refinement(g1, g2, init)
+            if colorings is not None:
+                final = full_refinement(g1, g2, init)[2]
+                assert [c.tolist() for c in colorings] == [c.tolist() for c in final]
     assert {"distinguished", "indistinguishable"} <= set(verdicts)
 
 
@@ -229,19 +235,6 @@ def test_joint_step_matches_oracle_across_sizes():
             expected, expected_changed = _oracle_step(expected, [_oracle_nbrs(g) for g in group])
             assert [c.tolist() for c in colorings] == expected
             assert changed == expected_changed
-
-
-def _full_refinement(g1, g2, init):
-    """Verdict and round count of joint refinement run to stability, with no early exit."""
-    colorings = [wl._initial_colors(g, init) for g in (g1, g2)]
-    nbrs = [wl._neighbor_lists(g) for g in (g1, g2)]
-    rounds = 0
-    for rounds in range(1, g1.n + g2.n + 2):
-        colorings, changed = wl._refine_step(colorings, nbrs)
-        if not changed:
-            break
-    same = np.array_equal(*(np.sort(cs) for cs in colorings))
-    return ("indistinguishable" if same else "distinguished"), rounds
 
 
 def _double_edge_swap(g, rng):
@@ -274,18 +267,78 @@ def test_early_verdict_matches_full_refinement(count_calls):
     for g1, g2 in pairs:
         assert sorted(g1.degrees) == sorted(g2.degrees)
         for init in ("uniform", "degree"):
-            verdict, rounds = _full_refinement(g1, g2, init)
+            verdict, rounds, final = full_refinement(g1, g2, init)
             del steps[:]
-            assert wl_distinguish(g1, g2, init) == verdict
+            colorings, _ = wl._joint_refinement(g1, g2, init)
             assert len(steps) <= rounds
             early_exits += len(steps) < rounds
+            assert wl_distinguish(g1, g2, init) == verdict
+            # equal colorings are the stable ones, labels included
+            assert (colorings is None) == (verdict == "distinguished")
+            if colorings is not None:
+                assert [c.tolist() for c in colorings] == [c.tolist() for c in final]
     # some swaps are told apart before refinement is stable, some never
     assert early_exits > 0
-    verdicts = {_full_refinement(g1, g2, "uniform")[0] for g1, g2 in pairs[1::2]}
+    verdicts = {full_refinement(g1, g2, "uniform")[0] for g1, g2 in pairs[1::2]}
     assert verdicts == {"distinguished", "indistinguishable"}
 
 
-def test_differing_degrees_build_no_neighbor_lists(count_calls, prism):
+def test_rounds_run_only_until_the_answer_is_known(count_calls, prism):
+    rng = np.random.default_rng(131)
+    steps = count_calls(wl, "_refine_step")
+    built = count_calls(wl, "_neighbor_lists")
+    # one round from the degree ranks makes G(60, 0.5) discrete, and the edge
+    # check stands in for the round that would confirm it
+    g = erdos_renyi(60, 0.5, rng)
+    for init in ("uniform", "degree"):
+        del steps[:]
+        assert wl_distinguish(g, apply_permutation(g, Permutation.random(60, rng)), init) == "indistinguishable"
+        assert len(steps) == 1
+    # a regular pair is stable from the degree ranks: no round, no neighbor list
+    del steps[:], built[:]
+    csl = csl_base_graph(41, 5)
+    for r in (prism, csl):
+        for init in ("uniform", "degree"):
+            assert wl_distinguish(r, apply_permutation(r, Permutation.random(r.n, rng)), init) == "indistinguishable"
+    assert steps == [] and built == []
+
+
+def _neighbor_degree_swap(g, rng):
+    """g with edges (a, b), (c, d) replaced by (a, d), (c, b), where deg a = deg c and deg b = deg d.
+
+    Every node keeps its degree and the multiset of its neighbors' degrees, so
+    one refinement round from the degree ranks colors both graphs alike.
+    """
+    a, deg = g.adjacency.copy(), g.degrees
+    edges = g.edges()
+    for _ in range(10000):
+        (u, v), (x, y) = (edges[i] for i in rng.choice(len(edges), size=2, replace=False))
+        if rng.random() < 0.5:
+            x, y = y, x
+        if len({u, v, x, y}) == 4 and deg[u] == deg[x] and deg[v] == deg[y] and a[u, y] == a[x, v] == 0.0:
+            a[u, v] = a[v, u] = a[x, y] = a[y, x] = 0.0
+            a[u, y] = a[y, u] = a[x, v] = a[v, x] = 1.0
+            return Graph(g.n, a)
+    raise AssertionError("no neighbor-degree-preserving swap found")
+
+
+def test_discrete_partition_that_is_no_isomorphism_is_distinguished(count_calls):
+    rng = np.random.default_rng(137)
+    checks = count_calls(wl, "_verified_map")
+    decided_by_check = 0
+    for _ in range(10):
+        g = erdos_renyi(int(rng.integers(30, 60)), 0.5, rng)
+        h = _neighbor_degree_swap(g, rng)
+        for init in ("uniform", "degree"):
+            del checks[:]
+            assert wl_distinguish(g, h, init) == "distinguished"
+            assert full_refinement(g, h, init)[0] == "distinguished"
+            # refinement calls the edge check only at a discrete partition
+            decided_by_check += len(checks)
+    assert decided_by_check == 20  # every pair, at both inits
+
+
+def test_differing_degrees_build_no_neighbor_lists(count_calls, prism, bihexagon):
     rng = np.random.default_rng(83)
     built = count_calls(wl, "_neighbor_lists")
     for _ in range(20):
@@ -297,15 +350,12 @@ def test_differing_degrees_build_no_neighbor_lists(count_calls, prism):
             assert wl_distinguish(g1, g2, init) == "distinguished"
             assert _oracle_distinguish(g1, g2, init) == "distinguished"
     assert wl_distinguish(prism, from_edge_list(6, [(0, 1), (2, 3)])) == "distinguished"
-    assert built == []
-    # equal degree multisets do refine
+    # a regular pair is stable from the start
     assert wl_distinguish(prism, apply_permutation(prism, Permutation.random(6, rng))) == "indistinguishable"
+    assert built == []
+    # other equal degree multisets do refine
+    assert wl_distinguish(bihexagon, apply_permutation(bihexagon, Permutation.random(10, rng))) == "indistinguishable"
     assert len(built) == 2
-
-
-def _certificate(g1, g2):
-    colorings = wl._joint_refinement(g1, g2)
-    return None if colorings is None else wl._verified_map(g1, g2, colorings)
 
 
 def test_verified_map_is_an_isomorphism(prism, k33, bihexagon, bipentagon):
@@ -321,7 +371,7 @@ def test_verified_map_is_an_isomorphism(prism, k33, bihexagon, bipentagon):
     pairs.append((prism, apply_permutation(prism, Permutation((3, 5, 0, 4, 1, 2)))))
     certified = uncertified_isomorphic = 0
     for g1, g2 in pairs:
-        mapping = _certificate(g1, g2)
+        mapping = wl._certify(g1, g2)[1]
         if mapping is None:
             uncertified_isomorphic += g1.n == g2.n and is_isomorphic_bruteforce(g1, g2)
             continue
@@ -342,7 +392,7 @@ def test_discrete_coloring_is_always_certified():
             continue
         discrete += 1
         # a discrete coloring leaves one candidate, the relabeling itself
-        assert _certificate(g, apply_permutation(g, perm)).tolist() == list(perm.mapping)
+        assert wl._certify(g, apply_permutation(g, perm))[1].tolist() == list(perm.mapping)
     assert discrete >= 30
 
 
