@@ -165,8 +165,13 @@ def gnn_layer(g: Graph, x: np.ndarray, taps, sigma=LINEAR) -> np.ndarray:
 _ROW_BLOCK = 256
 #: rows that a gather product accumulates at a time
 _GATHER_ROWS = 32
-#: diag_powers gathers when nnz * _GATHER_DENSITY <= n^2, i.e. mean degree <= n / 64
-_GATHER_DENSITY = 64
+#: diag_powers gathers when nnz * _GATHER_DENSITY <= n^2, i.e. mean degree <= n / 40
+_GATHER_DENSITY = 40
+#: nonnegative integers below 2^24 are exact in float32
+_FLOAT32_EXACT = 2**24
+#: float64 values per block (512 KiB) of sampled inputs and of widened powers:
+#: small enough to stay in cache
+_CHUNK_VALUES = 1 << 16
 
 
 def _gather_slots(g: Graph) -> list:
@@ -187,15 +192,15 @@ def _gather_slots(g: Graph) -> list:
     return table
 
 
-def _gather_product(slots, p: np.ndarray) -> np.ndarray:
-    """S p for a power p of S, by gathers over a slot table (_gather_slots).
+def _gather_product(slots, p: np.ndarray, dtype) -> np.ndarray:
+    """S p for a power p of S, by gathers over a slot table (_gather_slots), as dtype.
 
     Each result row sums the rows of p at its neighbours, one slot at a time
     over a chunk of rows: m n additions for m nonzeros, against 2 n^3 flops
-    by BLAS.
+    by BLAS. The sums run in dtype, which may be wider than p's.
     """
-    out = np.empty_like(p)
-    acc = np.empty((_GATHER_ROWS, p.shape[1]))
+    out = np.empty(p.shape, dtype)
+    acc = np.empty((_GATHER_ROWS, p.shape[1]), dtype)
     for r, order, chunk_slots in slots:
         acc[: len(order)] = 0.0
         for nbrs in chunk_slots:
@@ -205,12 +210,14 @@ def _gather_product(slots, p: np.ndarray) -> np.ndarray:
 
 
 def _wedge_square(g: Graph) -> np.ndarray:
-    """S^2 from the edge index: entry (i, j) counts the wedges i - k - j.
+    """S^2 from the edge index, as float32: entry (i, j) counts the wedges i - k - j.
 
     Slot t pairs every edge (k, i) with k's t-th neighbour j, one addition
     per wedge: the sum of squared degrees in all, against m n for S S by
     gathers. Edges are sorted by the degree of k, descending, so those of
-    slot t are a prefix; no index array outgrows the edge count.
+    slot t are a prefix; no index array outgrows the edge count. np.add.at
+    is several times slower into float32, so the wedges are counted in
+    float64; every count is at most n - 1, so the cast is exact.
     """
     indptr, indices = g.edge_index
     deg = np.diff(indptr)
@@ -221,7 +228,16 @@ def _wedge_square(g: Graph) -> np.ndarray:
     for t in range(deg.max(initial=0)):
         live = np.count_nonzero(degs > t)
         np.add.at(out, rows[:live] + indices[first[:live] + t], 1.0)
-    return out.reshape(g.n, g.n)
+    return out.reshape(g.n, g.n).astype(np.float32)
+
+
+def _row_dots(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Row-wise dot products of two arrays of one dtype, one BLAS dot per row.
+
+    No n x n temporary, and past 2^53 it rounds less than a running sum
+    (np.einsum) does.
+    """
+    return (p[:, None, :] @ q[:, :, None])[:, 0, 0]
 
 
 def diag_powers(g: Graph, depth: int = 10) -> np.ndarray:
@@ -237,56 +253,81 @@ def diag_powers(g: Graph, depth: int = 10) -> np.ndarray:
     S is symmetric, so diag(S^k) is the row-wise dot product of S^a and S^b
     for any a + b = k. Up to depth 3 no power besides S is formed; from
     depth 4 on, S^2 is. The rest follows one of two plans, chosen from the
-    graph's own density:
+    graph's edge count:
 
-    - dense, nnz * 64 > n^2: BLAS. S^2 = S S^T and, from depth 6, S^4 =
-      S^2 (S^2)^T are squarings, which numpy dispatches to the symmetric
-      rank-k update (syrk): half the 2 n^3 flops of a general product
-      (gemm). From depth 8, S^5 = S^4 S is formed 256 rows at a time and
-      read by row dots, and past depth 11 the chain S^(j+1) = S^j S
-      continues from it; depth 10 costs 2 syrk and 1 gemm, 4 n^3 flops.
-    - sparse, nnz * 64 <= n^2: S^2 is counted from the wedges i - k - j of
-      the cached edge index (sum of squared degrees additions), then one
-      chain S^j = S S^(j-1) by gathers reads diag(S^(2j-1)) and diag(S^(2j))
-      as row dots of S^(j-1) S^j and S^j S^j. Row i of S P is the sum of P's
-      rows at i's neighbours, m n additions for m = nnz. Nodes are sorted by
-      degree in chunks of 32 rows and the sums run one neighbour slot at a
-      time over a prefix of each chunk.
+    - dense, nnz * 40 > n^2: BLAS in float64. S^2 = S S^T and, from depth
+      6, S^4 = S^2 (S^2)^T are squarings, which numpy dispatches to the
+      symmetric rank-k update (syrk): half the 2 n^3 flops of a general
+      product (gemm). From depth 8, S^5 = S^4 S is formed 256 rows at a
+      time and read by row dots, and past depth 11 the chain S^(j+1) =
+      S^j S continues from it; depth 10 costs 2 syrk and 1 gemm, 4 n^3
+      flops.
+    - sparse, nnz * 40 <= n^2: from the cached edge index alone; the n x n
+      adjacency is never read. Column 2 is the degrees, column 3 is S^2
+      summed over each node's edges. S^2 is counted from the wedges
+      i - k - j (sum of squared degrees additions), then one chain
+      S^j = S S^(j-1) by gathers reads diag(S^(2j-1)) and diag(S^(2j)) as
+      row dots of S^(j-1) S^j and S^j S^j. Row i of S P is the sum of P's
+      rows at i's neighbours, m n additions for m = nnz. Nodes are sorted
+      by degree in chunks of 32 rows and the sums run one neighbour slot at
+      a time over a prefix of each chunk.
 
-    The 64 sits at the measured crossover (depth 10 on sparse G(n, d/n),
-    one BLAS thread, slot table included): for n = 300 to 1000 the plans
-    break even between mean degree n / 45 and n / 64, and at n / 100 the
-    sparse plan is 1.35x to 1.8x faster; at n = 2000 and degree 8 (n / 250),
-    3.2x. At n = 150 the per-slot overhead makes it 1.2x to 1.6x slower, at
-    under a millisecond for either plan.
+    Precision of the sparse plan, with Delta the maximum degree. S^j counts
+    walks, so its entries are at most Delta^(j-1), and each gather sum or
+    row dot adds nonnegative integers no larger than its result. So:
 
-    Either plan holds no more than two n x n powers besides S at any depth:
-    the dense plan forms S^5 one row block at a time, and the sparse chain
-    drops S^(j-1) once S^j is read.
+    - S^2 (entries at most Delta < 2^24) and every S^j with
+      Delta^(j-1) < 2^24 are float32, summed in float32, and exact; from
+      the first j past that bound the chain is float64.
+    - The row dot giving diag(S^k) runs in float32 while
+      Delta^(k-1) < 2^24. Past that it runs in float64, on rows of float32
+      powers widened a cache-sized block at a time.
+
+    The gathers are bound by memory traffic, so a float32 power halves its
+    bytes and cuts the product's time to 0.5x-0.65x (n = 1000 to 2000). No
+    inexact float32 value is ever formed, and the result is float64 either
+    way: the same bits as an all-float64 chain.
+
+    The 40 sits at the measured crossover. Sparse / dense time of
+    diag_powers on G(n, d/n), depth 6 / depth 10, one BLAS thread, slot
+    table included, min of 11 (5 at n = 2000):
+
+        n      d = n/100   n/64        n/45        n/40        n/32        n/24
+        300    0.64/0.69   0.74/0.80   1.09/1.03   1.00/1.03   1.24/1.31   1.86/1.55
+        500    0.41/0.44   0.52/0.59   0.66/0.77   0.73/0.81   0.94/0.93   1.15/1.24
+        1000   0.30/0.35   0.42/0.44   0.63/0.68   0.65/0.72   0.85/0.95   1.17/1.15
+        2000   0.25/0.27   0.37/0.41   0.58/0.81   0.67/0.84   0.81/0.99   1.17/1.45
+
+    Either plan holds no more than the bytes of two n x n float64 powers
+    besides S at any depth: the dense plan forms S^5 one row block at a
+    time, and the sparse chain drops S^(j-1) once S^j is read.
     """
     depth = _check_int(depth, "depth", 1)
-    s = g.adjacency
-    out = np.empty((g.n, depth))
+    out = np.zeros((g.n, depth))  # column 1 stays 0: no self-loops
     out[:, 0] = 1.0
-    if depth > 1:
-        out[:, 1] = np.diag(s)
+    if depth > 2:
+        if 2 * g.num_edges * _GATHER_DENSITY <= g.n**2:
+            _sparse_ladder(g, out)
+        else:
+            _dense_ladder(g.adjacency, out)
+    return out
+
+
+def _dense_ladder(s: np.ndarray, out: np.ndarray) -> None:
+    """Columns 2, 3, ... of diag_powers by the dense plan: float64 BLAS on S."""
+    n, depth = out.shape
 
     def dots(k: int, p: np.ndarray, q: np.ndarray, rows=slice(None)) -> None:
-        # diag(S^k) on rows from the matching rows of two powers; one BLAS dot
-        # per row: no n x n temporary, and past 2^53 it rounds less than a
-        # running sum (np.einsum) does
         if k < depth:
-            out[rows, k] = (p[:, None, :] @ q[:, :, None])[:, 0, 0]
+            out[rows, k] = _row_dots(p, q)
 
     dots(2, s, s)
     if depth <= 3:
-        return out
-    sparse = np.count_nonzero(s) * _GATHER_DENSITY <= g.n**2
-    slots = _gather_slots(g) if sparse and depth > 5 else None  # the chain's table
-    p = _wedge_square(g) if sparse else s @ s.T  # S^2; S S^T is a syrk
+        return
+    p = s @ s.T  # S^2 by syrk
     dots(3, s, p)
     dots(4, p, p)
-    if not sparse and depth > 5:
+    if depth > 5:
         s4 = p @ p.T  # syrk
         dots(5, s, s4)
         dots(6, p, s4)
@@ -295,7 +336,7 @@ def diag_powers(g: Graph, depth: int = 10) -> np.ndarray:
             # S^5 = S^4 S one row block at a time. Up to depth 11 it feeds
             # only row dots; deeper, each block is kept in the rows of S^2
             # that its row dots have just spent, and the chain starts from it
-            for r in range(0, g.n, _ROW_BLOCK):
+            for r in range(0, n, _ROW_BLOCK):
                 rows = slice(r, r + _ROW_BLOCK)
                 s5 = s4[rows] @ s
                 dots(7, p[rows], s5, rows)
@@ -305,13 +346,50 @@ def diag_powers(g: Graph, depth: int = 10) -> np.ndarray:
                     p[rows] = s5
                 del s5  # before the next block is formed
             del s4
-    # the chain from S^(j-1) = p: the sparse plan's starts at S^3, the dense one's past S^5
-    for j in range(3 if sparse else 6, depth // 2 + 1):
-        q = _gather_product(slots, p) if sparse else p @ s  # S^j
+    for j in range(6, depth // 2 + 1):  # the chain past S^5
+        q = p @ s  # S^j
         dots(2 * j - 1, p, q)
         dots(2 * j, q, q)
         p = q
-    return out
+
+
+def _sparse_ladder(g: Graph, out: np.ndarray) -> None:
+    """Columns 2, 3, ... of diag_powers by the sparse plan: wedges, then gathers
+    from the edge index, in float32 while the walk counts allow it."""
+    n, depth = out.shape
+    indptr, indices = g.edge_index
+    deg = np.diff(indptr)
+    out[:, 2] = deg
+    if depth <= 3:
+        return
+    delta = int(deg.max(initial=0))
+
+    def exact32(k: int) -> bool:
+        # every entry of S^k and every partial sum behind it is at most Delta^(k-1)
+        return delta ** (k - 1) < _FLOAT32_EXACT
+
+    def dots(k: int, p: np.ndarray, q: np.ndarray) -> None:
+        if k >= depth:
+            return
+        if p.dtype == q.dtype == np.float32 and exact32(k):
+            out[:, k] = _row_dots(p, q)
+            return
+        block = max(1, _CHUNK_VALUES // n)  # float64, widening float32 rows by blocks
+        for r in range(0, n, block):
+            rows = slice(r, r + block)
+            a = p[rows].astype(np.float64, copy=False)
+            out[rows, k] = _row_dots(a, a if q is p else q[rows].astype(np.float64, copy=False))
+
+    p = _wedge_square(g)  # S^2
+    owner = np.repeat(np.arange(n), deg)
+    out[:, 3] = np.bincount(owner, p[owner, indices], n)  # S^2 summed over each node's edges
+    dots(4, p, p)
+    slots = _gather_slots(g) if depth > 5 else None
+    for j in range(3, depth // 2 + 1):  # the chain from S^2
+        q = _gather_product(slots, p, np.float32 if exact32(j) else np.float64)  # S^j
+        dots(2 * j - 1, p, q)
+        dots(2 * j, q, q)
+        p = q
 
 
 def closed_walk_count(g: Graph, v: int, k: int, *, max_n: int = 12, max_k: int = 8) -> int:
@@ -377,10 +455,6 @@ def self_convolve(h: FilterParams, variance: float = 1.0) -> FilterParams:
     """
     c = np.asarray(h.coeffs)
     return FilterParams(tuple(variance * np.convolve(c, c)))
-
-
-# float64 values per sample block (512 KiB): small enough to stay in cache
-_CHUNK_VALUES = 1 << 16
 
 
 def _block_samples(n: int, samples: int) -> int:

@@ -119,9 +119,12 @@ class Graph:
         """Node degrees as float64, read off the cached edge index."""
         return np.diff(self.edge_index[0]).astype(np.float64)
 
-    @property
+    @cached_property
     def num_edges(self) -> int:
-        return len(self.edge_index[1]) // 2
+        """Edge count, read off the edge index if it is built, else counted on
+        the adjacency: asking for the count builds no index."""
+        index = self.__dict__.get("edge_index")  # where cached_property keeps it
+        return (np.count_nonzero(self.adjacency) if index is None else len(index[1])) // 2
 
     @cached_property
     def edge_index(self) -> tuple[np.ndarray, np.ndarray]:

@@ -216,7 +216,7 @@ def _logged_ladder(g, depth):
     """diag_powers(g, depth) and its products as (exponent, squaring, rows); g has n <= 256."""
     s = g.adjacency.view(_LoggedPower)
     s.log = []
-    x = diag_powers(SimpleNamespace(n=g.n, adjacency=s), depth)
+    x = diag_powers(SimpleNamespace(n=g.n, adjacency=s, num_edges=g.num_edges), depth)
     powers = [np.linalg.matrix_power(g.adjacency, k) for k in range(depth)]
 
     def exponent(p):
@@ -302,15 +302,42 @@ def test_diag_powers_gather_plan_is_exact(monkeypatch):
 def test_wedge_square_counts_s_squared_exactly():
     for g in _gather_cases() + [Graph(7, np.zeros((7, 7)))]:
         s2 = gnn._wedge_square(g)
-        assert s2.dtype == np.float64
+        assert s2.dtype == np.float32
         np.testing.assert_array_equal(s2, g.adjacency @ g.adjacency)
 
 
+def test_gather_chain_switches_to_float64_past_2_24(monkeypatch, count_calls):
+    # star K_{1,257}: diag(S^6) at the hub is 257^3 = 16974593, odd and past 2^24,
+    # so float32 cannot hold it; every count through depth 13 is below 2^53
+    h = 257
+    g = from_edge_list(h + 1, [(0, i) for i in range(1, h + 1)])
+    monkeypatch.setattr(gnn, "_GATHER_DENSITY", 0)
+    products = count_calls(gnn, "_gather_product")
+    s, p = g.adjacency.astype(np.int64), np.eye(g.n, dtype=np.int64)
+    ref = np.empty((g.n, 13), dtype=np.int64)
+    for k in range(13):
+        ref[:, k] = np.diag(p)
+        p = p @ s
+    assert ref[0, 6] == h**3 > 2**24 and ref.max() < 2**53
+    for depth in range(1, 14):
+        np.testing.assert_array_equal(diag_powers(g, depth), ref[:, :depth])
+    # S^3 (entries up to 257^2) is float32; from S^4 (bound 257^3) the chain is float64
+    assert [args[2] for args in products[-4:]] == [np.float32, np.float64, np.float64, np.float64]
+
+
+def test_diag_powers_sparse_plan_never_reads_adjacency(monkeypatch):
+    monkeypatch.setattr(gnn, "_GATHER_DENSITY", 0)  # every graph takes the gather plan
+    for g in _gather_cases():
+        bare = SimpleNamespace(n=g.n, edge_index=g.edge_index, num_edges=g.num_edges)
+        for depth in range(1, 17):
+            np.testing.assert_array_equal(diag_powers(bare, depth), diag_powers(g, depth))
+
+
 def _blas_products(g, depth, **extra):
-    """(formed by squaring, rows) of each BLAS product diag_powers forms, on an object with n and adjacency."""
+    """(formed by squaring, rows) of each BLAS product diag_powers forms, on an object with n, num_edges and adjacency."""
     s = g.adjacency.view(_LoggedPower)
     s.log = []
-    x = diag_powers(SimpleNamespace(n=g.n, adjacency=s, **extra), depth)
+    x = diag_powers(SimpleNamespace(n=g.n, adjacency=s, num_edges=g.num_edges, **extra), depth)
     np.testing.assert_array_equal(x, diag_powers(g, depth))
     return [(squaring, len(p)) for p, squaring in s.log]
 
@@ -325,6 +352,14 @@ def test_diag_powers_plan_follows_density():
         # no edge_index on the object: the dense plan never reads one
         assert _blas_products(dense, 10) == [(True, n), (True, n), (False, n)]
         assert _blas_products(dense, 13) == [(True, n), (True, n), (False, n), (False, n)]
+
+
+def test_dense_plan_builds_no_edge_index():
+    g = erdos_renyi(60, 0.5, np.random.default_rng(79))
+    x = diag_powers(g, 10)
+    assert "edge_index" not in vars(g)  # the plan choice counted the edges on the adjacency
+    assert g.num_edges == len(g.edge_index[1]) // 2
+    np.testing.assert_array_equal(x, half_power_diag_powers(g, 10))
 
 
 def test_diag_powers_gather_plan_builds_one_slot_table(count_calls):
