@@ -115,13 +115,12 @@ class DiscriminationReport:
 def _low_power_sum_gap(g1: Graph, g2: Graph) -> int | None:
     """The first k whose power sums p_k are known to differ before any ladder is built.
 
-    p_0 = n and p_2 = 2m are read off the edge index, and p_1 = trace S = 0,
-    as Graph has no self-loops: 0 when the node counts differ, 2 when only
+    p_0, p_1 and p_2 come from the node and edge counts
+    (spectral._low_power_sums): 0 when the node counts differ, 2 when only
     the edge counts do, else None.
     """
-    if g1.n != g2.n:
-        return 0
-    return 2 if g1.num_edges != g2.num_edges else None
+    gaps = np.flatnonzero(spectral._low_power_sums(g1) != spectral._low_power_sums(g2))
+    return int(gaps[0]) if gaps.size else None
 
 
 def discriminate_pair(g1: Graph, g2: Graph, config: PairConfig = PairConfig()) -> DiscriminationReport:

@@ -161,17 +161,26 @@ def gnn_layer(g: Graph, x: np.ndarray, taps, sigma=LINEAR) -> np.ndarray:
     return sigma(_horner(lambda acc: g.adjacency @ acc, lambda k: x @ hs[k], len(hs)))
 
 
-#: rows of S^5 that the dense plan of diag_powers forms at a time by BLAS
-_ROW_BLOCK = 256
 #: rows that a gather product accumulates at a time
 _GATHER_ROWS = 32
 #: diag_powers gathers when nnz * _GATHER_DENSITY <= n^2, i.e. mean degree <= n / 40
 _GATHER_DENSITY = 40
-#: nonnegative integers below 2^24 are exact in float32
-_FLOAT32_EXACT = 2**24
 #: float64 values per block (512 KiB) of sampled inputs and of widened powers:
 #: small enough to stay in cache
 _CHUNK_VALUES = 1 << 16
+
+
+def _exact_columns(depth: int, delta: int, limit: int, n: int = 1) -> int:
+    """The first column k of a depth-deep walk ladder whose values may reach limit, else depth.
+
+    A closed walk of length k >= 1 is fixed by its first k - 1 steps, so with
+    delta the maximum degree every entry of S^k is at most delta^(k-1), and
+    so is every partial sum of the nonnegative integers behind it; a sum of
+    column k over n nodes is at most n delta^(k-1). Integers below 2^24 are
+    exact in float32 and below 2^53 in float64, so with limit at that bound
+    every column before the one returned is exact. Column 0 always is.
+    """
+    return next((k for k in range(1, depth) if n * delta ** (k - 1) >= limit), depth)
 
 
 def _gather_slots(g: Graph) -> list:
@@ -251,37 +260,42 @@ def diag_powers(g: Graph, depth: int = 10) -> np.ndarray:
     order.
 
     S is symmetric, so diag(S^k) is the row-wise dot product of S^a and S^b
-    for any a + b = k. Up to depth 3 no power besides S is formed; from
-    depth 4 on, S^2 is. The rest follows one of two plans, chosen from the
-    graph's edge count:
+    for any a + b = k. Both plans share one chain: from a power P = S^(j-1),
+    each step forms Q = S^j = S P and reads diag(S^(2j-1)) and diag(S^(2j))
+    as row dots of P Q and Q Q, then drops P. The plans, chosen from the
+    graph's edge count, differ only in how the chain starts and in the
+    product by S:
 
-    - dense, nnz * 40 > n^2: BLAS in float64. S^2 = S S^T and, from depth
-      6, S^4 = S^2 (S^2)^T are squarings, which numpy dispatches to the
-      symmetric rank-k update (syrk): half the 2 n^3 flops of a general
-      product (gemm). From depth 8, S^5 = S^4 S is formed 256 rows at a
-      time and read by row dots, and past depth 11 the chain S^(j+1) =
-      S^j S continues from it; depth 10 costs 2 syrk and 1 gemm, 4 n^3
-      flops.
+    - dense, nnz * 40 > n^2: float64 BLAS on the adjacency. Column 2 is the
+      row dots of S S. From depth 4, S^2 = S S^T is formed and, from depth
+      6, S^4 = S^2 (S^2)^T; both are squarings, which numpy dispatches to
+      the symmetric rank-k update (syrk): half the 2 n^3 flops of a general
+      product (gemm). From depth 8, S^5 = S^4 S is formed whole, and the
+      chain starts from it with S^j = S^(j-1) S; depth 10 costs 2 syrk and
+      1 gemm, 4 n^3 flops. This plan holds the bytes of at most two n x n
+      float64 powers besides S below depth 8, and of three (S^2, S^4, S^5)
+      from there.
     - sparse, nnz * 40 <= n^2: from the cached edge index alone; the n x n
-      adjacency is never read. Column 2 is the degrees, column 3 is S^2
-      summed over each node's edges. S^2 is counted from the wedges
-      i - k - j (sum of squared degrees additions), then one chain
-      S^j = S S^(j-1) by gathers reads diag(S^(2j-1)) and diag(S^(2j)) as
-      row dots of S^(j-1) S^j and S^j S^j. Row i of S P is the sum of P's
-      rows at i's neighbours, m n additions for m = nnz. Nodes are sorted
-      by degree in chunks of 32 rows and the sums run one neighbour slot at
-      a time over a prefix of each chunk.
+      adjacency is never read. Column 2 is the degrees. S^2 is counted from
+      the wedges i - k - j (sum of squared degrees additions), column 3 is
+      S^2 summed over each node's edges, and the chain starts from S^2. Its
+      product is a gather: row i of S P is the sum of P's rows at i's
+      neighbours, m n additions for m = nnz. Nodes are sorted by degree in
+      chunks of 32 rows and the sums run one neighbour slot at a time over
+      a prefix of each chunk. This plan holds no more than the bytes of two
+      n x n float64 powers besides S at any depth.
 
-    Precision of the sparse plan, with Delta the maximum degree. S^j counts
-    walks, so its entries are at most Delta^(j-1), and each gather sum or
-    row dot adds nonnegative integers no larger than its result. So:
+    Precision, with Delta the maximum degree (`_exact_columns`): every entry
+    of S^j, and every gather sum or row dot behind it, is a nonnegative
+    integer at most Delta^(j-1). The dense plan runs in float64 throughout.
+    In the sparse plan:
 
     - S^2 (entries at most Delta < 2^24) and every S^j with
       Delta^(j-1) < 2^24 are float32, summed in float32, and exact; from
       the first j past that bound the chain is float64.
-    - The row dot giving diag(S^k) runs in float32 while
-      Delta^(k-1) < 2^24. Past that it runs in float64, on rows of float32
-      powers widened a cache-sized block at a time.
+    - The row dot giving diag(S^k) runs in float32 only while both operands
+      are float32 and Delta^(k-1) < 2^24. Otherwise it runs in float64, on
+      rows of float32 operands widened a cache-sized block at a time.
 
     The gathers are bound by memory traffic, so a float32 power halves its
     bytes and cuts the product's time to 0.5x-0.65x (n = 1000 to 2000). No
@@ -297,99 +311,73 @@ def diag_powers(g: Graph, depth: int = 10) -> np.ndarray:
         500    0.41/0.44   0.52/0.59   0.66/0.77   0.73/0.81   0.94/0.93   1.15/1.24
         1000   0.30/0.35   0.42/0.44   0.63/0.68   0.65/0.72   0.85/0.95   1.17/1.15
         2000   0.25/0.27   0.37/0.41   0.58/0.81   0.67/0.84   0.81/0.99   1.17/1.45
-
-    Either plan holds no more than the bytes of two n x n float64 powers
-    besides S at any depth: the dense plan forms S^5 one row block at a
-    time, and the sparse chain drops S^(j-1) once S^j is read.
     """
     depth = _check_int(depth, "depth", 1)
-    out = np.zeros((g.n, depth))  # column 1 stays 0: no self-loops
+    n = g.n
+    out = np.zeros((n, depth))  # column 1 stays 0: no self-loops
     out[:, 0] = 1.0
-    if depth > 2:
-        if 2 * g.num_edges * _GATHER_DENSITY <= g.n**2:
-            _sparse_ladder(g, out)
-        else:
-            _dense_ladder(g.adjacency, out)
-    return out
-
-
-def _dense_ladder(s: np.ndarray, out: np.ndarray) -> None:
-    """Columns 2, 3, ... of diag_powers by the dense plan: float64 BLAS on S."""
-    n, depth = out.shape
-
-    def dots(k: int, p: np.ndarray, q: np.ndarray, rows=slice(None)) -> None:
-        if k < depth:
-            out[rows, k] = _row_dots(p, q)
-
-    dots(2, s, s)
-    if depth <= 3:
-        return
-    p = s @ s.T  # S^2 by syrk
-    dots(3, s, p)
-    dots(4, p, p)
-    if depth > 5:
-        s4 = p @ p.T  # syrk
-        dots(5, s, s4)
-        dots(6, p, s4)
-        dots(8, s4, s4)
-        if depth > 7:
-            # S^5 = S^4 S one row block at a time. Up to depth 11 it feeds
-            # only row dots; deeper, each block is kept in the rows of S^2
-            # that its row dots have just spent, and the chain starts from it
-            for r in range(0, n, _ROW_BLOCK):
-                rows = slice(r, r + _ROW_BLOCK)
-                s5 = s4[rows] @ s
-                dots(7, p[rows], s5, rows)
-                dots(9, s4[rows], s5, rows)
-                dots(10, s5, s5, rows)
-                if depth > 11:
-                    p[rows] = s5
-                del s5  # before the next block is formed
-            del s4
-    for j in range(6, depth // 2 + 1):  # the chain past S^5
-        q = p @ s  # S^j
-        dots(2 * j - 1, p, q)
-        dots(2 * j, q, q)
-        p = q
-
-
-def _sparse_ladder(g: Graph, out: np.ndarray) -> None:
-    """Columns 2, 3, ... of diag_powers by the sparse plan: wedges, then gathers
-    from the edge index, in float32 while the walk counts allow it."""
-    n, depth = out.shape
-    indptr, indices = g.edge_index
-    deg = np.diff(indptr)
-    out[:, 2] = deg
-    if depth <= 3:
-        return
-    delta = int(deg.max(initial=0))
-
-    def exact32(k: int) -> bool:
-        # every entry of S^k and every partial sum behind it is at most Delta^(k-1)
-        return delta ** (k - 1) < _FLOAT32_EXACT
 
     def dots(k: int, p: np.ndarray, q: np.ndarray) -> None:
+        # column k as the row dots of p and q: in their dtype when both are
+        # float64, or both float32 below the exact bound; else in float64
         if k >= depth:
             return
-        if p.dtype == q.dtype == np.float32 and exact32(k):
+        if p.dtype == q.dtype and (p.dtype == np.float64 or k < exact):
             out[:, k] = _row_dots(p, q)
             return
-        block = max(1, _CHUNK_VALUES // n)  # float64, widening float32 rows by blocks
+        block = max(1, _CHUNK_VALUES // n)  # float32 rows widened a block at a time
         for r in range(0, n, block):
             rows = slice(r, r + block)
             a = p[rows].astype(np.float64, copy=False)
             out[rows, k] = _row_dots(a, a if q is p else q[rows].astype(np.float64, copy=False))
 
-    p = _wedge_square(g)  # S^2
-    owner = np.repeat(np.arange(n), deg)
-    out[:, 3] = np.bincount(owner, p[owner, indices], n)  # S^2 summed over each node's edges
-    dots(4, p, p)
-    slots = _gather_slots(g) if depth > 5 else None
-    for j in range(3, depth // 2 + 1):  # the chain from S^2
-        q = _gather_product(slots, p, np.float32 if exact32(j) else np.float64)  # S^j
+    if depth <= 2:
+        return out
+    if 2 * g.num_edges * _GATHER_DENSITY <= n**2:  # sparse start
+        indptr, indices = g.edge_index
+        deg = np.diff(indptr)
+        out[:, 2] = deg
+        if depth <= 3:
+            return out
+        exact = _exact_columns(depth, int(deg.max(initial=0)), 2**24)  # float32's bound
+        p, first = _wedge_square(g), 3  # S^2
+        owner = np.repeat(np.arange(n), deg)
+        out[:, 3] = np.bincount(owner, p[owner, indices], n)  # S^2 summed over each node's edges
+        dots(4, p, p)
+        slots = _gather_slots(g) if depth > 5 else None
+
+        def times_s(p: np.ndarray, j: int) -> np.ndarray:
+            return _gather_product(slots, p, np.float32 if j < exact else np.float64)
+
+    else:  # dense start
+        s, exact = g.adjacency, 0  # float64 throughout
+        dots(2, s, s)
+        if depth <= 3:
+            return out
+        p, first = s @ s.T, 6  # S^2 by syrk; the chain starts past S^5
+        dots(3, s, p)
+        dots(4, p, p)
+        if depth > 5:
+            s4 = p @ p.T  # syrk
+            dots(5, s, s4)
+            dots(6, p, s4)
+            dots(8, s4, s4)
+            if depth > 7:
+                q = s4 @ s  # S^5
+                dots(7, p, q)
+                dots(9, s4, q)
+                dots(10, q, q)
+                p = q
+
+        def times_s(p: np.ndarray, j: int) -> np.ndarray:
+            return p @ s
+
+    for j in range(first, depth // 2 + 1):
+        q = times_s(p, j)  # S^j
         dots(2 * j - 1, p, q)
         dots(2 * j, q, q)
         p = q
+    return out
 
 
 def closed_walk_count(g: Graph, v: int, k: int, *, max_n: int = 12, max_k: int = 8) -> int:

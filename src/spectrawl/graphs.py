@@ -170,7 +170,7 @@ class Permutation:
     mapping: tuple[int, ...]
 
     def __post_init__(self):
-        m = tuple(int(i) for i in self.mapping)
+        m = tuple(_check_int(i, "mapping entry", 0, GraphError) for i in self.mapping)
         if sorted(m) != list(range(len(m))):
             raise GraphError("mapping is not a bijection on {0..n-1}")
         object.__setattr__(self, "mapping", m)
@@ -209,12 +209,14 @@ def from_edge_list(n: int, edges, name: str | None = None) -> Graph:
     """Build a graph from undirected edge pairs.
 
     Raises SelfLoopError, DuplicateEdgeError, or EdgeIndexError on bad input,
-    and GraphError unless n is an integer >= 1.
+    and GraphError unless n and every endpoint are integers, n >= 1.
     """
     n = _check_int(n, "node count", 1, GraphError)
     a = np.zeros((n, n))
     for u, v in edges:
-        u, v = int(u), int(v)
+        # no lower bound here: an integer out of range is an EdgeIndexError below
+        u = _check_int(u, "node index", -np.inf, GraphError)
+        v = _check_int(v, "node index", -np.inf, GraphError)
         if u == v:
             raise SelfLoopError(u)
         for w in (u, v):
@@ -325,9 +327,12 @@ def corpus_graph(key: str) -> Graph:
 def erdos_renyi(n: int, p: float, rng: np.random.Generator, name: str | None = None) -> Graph:
     """G(n, p) sample; handy for randomized cross-checks.
 
-    Raises GraphError unless n is an integer >= 1, before any sampling.
+    Raises GraphError unless n is an integer >= 1 and p a real number in
+    [0, 1] (not a bool), before any sampling.
     """
     n = _check_int(n, "node count", 1, GraphError)
+    if isinstance(p, bool) or not isinstance(p, numbers.Real) or not 0 <= p <= 1:
+        raise GraphError(f"p must be a real number in [0, 1], got {p!r}")
     upper = rng.random((n, n)) < p
     a = np.triu(upper, k=1)
     a = (a | a.T).astype(np.float64)

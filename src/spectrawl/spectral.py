@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .gnn import DimensionMismatchError, FilterParams, graph_filter
+from .gnn import DimensionMismatchError, FilterParams, _exact_columns, graph_filter
 from .graphs import Graph, _check_positive
 
 EPS_RESID = 1e-9
@@ -164,6 +164,15 @@ def _spectrum(g: Graph | Spectrum) -> Spectrum:
     return g if isinstance(g, Spectrum) else eigendecompose(g)
 
 
+def _low_power_sums(g: Graph) -> np.ndarray:
+    """The power sums p_0 = n, p_1 = trace S = 0 and p_2 = trace S^2 = 2m, as float64.
+
+    They are read off the node and edge counts: Graph has no self-loops, and
+    S^2's diagonal holds the degrees.
+    """
+    return np.array([g.n, 0.0, 2.0 * g.num_edges])
+
+
 def _values_first(g: Graph, walks: np.ndarray) -> Spectrum:
     """Spectrum of g from eigvalsh alone, checked against g's closed-walk counts.
 
@@ -173,14 +182,13 @@ def _values_first(g: Graph, walks: np.ndarray) -> Spectrum:
     `eigendecompose`, which need eigenvectors. They are formed, all at once,
     on the first request for a group's basis (`_group_basis`).
     """
-    s = g.adjacency
     try:
-        w = np.linalg.eigvalsh(s)
+        w = np.linalg.eigvalsh(g.adjacency)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(str(exc)) from exc
-    # a ladder shorter than 3 is replaced by the O(n^2) traces of S^0, S^1 and
-    # S^2 (n, trace S, ||S||_F^2 = 2m), so that a short filter still checks something
-    traces = walks.sum(axis=0) if walks.shape[1] >= 3 else np.array([g.n, np.trace(s), np.vdot(s, s)])
+    # a ladder shorter than 3 is replaced by the traces of S^0, S^1 and S^2,
+    # so that a short filter still checks something
+    traces = walks.sum(axis=0) if walks.shape[1] >= 3 else _low_power_sums(g)
     _check_power_sums(w, traces, walks.shape[1])
     w.flags.writeable = False
     return Spectrum(w, None, _group_indices(w, default_group_tol(w)), g)
@@ -214,15 +222,13 @@ def _check_power_sums(w: np.ndarray, traces: np.ndarray, depth: int) -> None:
 def _admitted_columns(g1: Graph, g2: Graph, depth: int) -> int:
     """How many leading columns of depth-deep walk ladders of g1 and g2 are exact.
 
-    A closed walk of length k >= 1 is fixed by its first k - 1 steps, so with
-    Delta the larger maximum degree and n the larger node count, every walk
-    count, matrix-power entry and partial sum behind column k's sum p_k is a
-    nonnegative integer at most n Delta^(k-1). k = 0 (the node counts) is
-    always exact; the first k with n Delta^(k-1) >= 2^53 is not.
+    Every walk count, matrix-power entry and partial sum behind column k's
+    sum p_k is a nonnegative integer at most n Delta^(k-1), with Delta the
+    larger maximum degree and n the larger node count (`gnn._exact_columns`);
+    the first k where that bound reaches 2^53 is not exact.
     """
-    n = max(g1.n, g2.n)
     delta = int(max(g1.degrees.max(), g2.degrees.max()))
-    return next((k for k in range(1, depth) if n * delta ** (k - 1) >= 2**53), depth)
+    return _exact_columns(depth, delta, 2**53, max(g1.n, g2.n))
 
 
 def _power_sum_witness(

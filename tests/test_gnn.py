@@ -179,11 +179,19 @@ def _sequential_diag_powers(g, depth):
     return out
 
 
+def _circulant_1_to_4():
+    """Circulant on 300 nodes with jumps 1-4: 2m 40 > n^2, so it takes the dense
+    plan, and its walk counts through depth 16 stay below 2^41."""
+    return from_edge_list(300, [(i, (i + d) % 300) for i in range(300) for d in (1, 2, 3, 4)])
+
+
 def test_diag_powers_half_power_ladder_is_exact():
     # integer walk counts below 2^53 are exact in any summation order
     rng = np.random.default_rng(43)
     graphs = [e.graph for e in corpus()] + [erdos_renyi(n, 8 / n, rng) for n in (50, 300)]
-    for g in graphs:
+    circulant = _circulant_1_to_4()
+    assert 2 * circulant.num_edges * gnn._GATHER_DENSITY > circulant.n**2
+    for g in graphs + [circulant]:
         ref = _sequential_diag_powers(g, 16)
         for depth in range(1, 17):
             np.testing.assert_array_equal(diag_powers(g, depth), ref[:, :depth])
@@ -213,7 +221,7 @@ class _LoggedPower(np.ndarray):
 
 
 def _logged_ladder(g, depth):
-    """diag_powers(g, depth) and its products as (exponent, squaring, rows); g has n <= 256."""
+    """diag_powers(g, depth) and its products as (exponent, squaring, rows)."""
     s = g.adjacency.view(_LoggedPower)
     s.log = []
     x = diag_powers(SimpleNamespace(n=g.n, adjacency=s, num_edges=g.num_edges), depth)
@@ -262,8 +270,24 @@ def test_diag_powers_holds_two_powers_besides_s(depth):
     finally:
         tracemalloc.stop()
     np.testing.assert_array_equal(x, half_power_diag_powers(g, depth))
-    # two n x n powers, one 256-row block of S^5 and the result
+    # two n x n powers, the result, and 256 rows of n for the blocks of
+    # float32 rows widened to float64 (two blocks of _CHUNK_VALUES values)
     assert peak <= 8 * (2 * g.n**2 + 256 * g.n + depth * g.n) + 65536
+
+
+@pytest.mark.parametrize("depth", [5, 7, 8, 10, 16])
+def test_diag_powers_dense_plan_holds_three_powers_from_depth_8(depth):
+    g = _circulant_1_to_4()
+    tracemalloc.start()
+    try:
+        x = diag_powers(g, depth)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    np.testing.assert_array_equal(x, half_power_diag_powers(g, depth))
+    # S^2 and S^4 below depth 8; S^2, S^4 and S^5 at once from there; and the result
+    powers = 3 if depth >= 8 else 2
+    assert peak <= 8 * (powers * g.n**2 + depth * g.n) + 65536
 
 
 @pytest.mark.parametrize("depth", [2.5, True, "3", None])
@@ -275,8 +299,8 @@ def test_diag_powers_rejects_a_non_integer_depth(prism, depth):
 def _gather_cases():
     """Sparse graphs with isolated nodes, a hub of degree n - 1 and two components, and relabeled copies.
 
-    Sizes straddle the 32-row chunks and 128-row blocks of the gather plan;
-    every walk count up to depth 16 stays below 2^53.
+    Sizes straddle the 32-row chunks of the gather plan; every walk count up
+    to depth 16 stays below 2^53.
     """
     rng = np.random.default_rng(67)
     a = np.zeros((75, 75))
@@ -304,6 +328,14 @@ def test_wedge_square_counts_s_squared_exactly():
         s2 = gnn._wedge_square(g)
         assert s2.dtype == np.float32
         np.testing.assert_array_equal(s2, g.adjacency @ g.adjacency)
+
+
+def test_exact_columns_stop_where_the_bound_reaches_the_limit():
+    # (depth, Delta, limit, n): the first k with n Delta^(k-1) >= limit, else depth
+    cases = [(10, 255, 2**24, 1, 5), (10, 256, 2**24, 1, 4), (4, 255, 2**24, 1, 4),
+             (10, 0, 2**24, 1, 10), (16, 32, 2**53, 300, 10), (16, 32, 2**53, 2**53, 1)]
+    for depth, delta, limit, n, first in cases:
+        assert gnn._exact_columns(depth, delta, limit, n) == first, (depth, delta, limit, n)
 
 
 def test_gather_chain_switches_to_float64_past_2_24(monkeypatch, count_calls):

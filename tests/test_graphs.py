@@ -90,6 +90,39 @@ def test_entry_points_reject_bad_integers_naming_the_parameter(prism):
     assert wrong == []
 
 
+def test_node_indices_must_be_integers_not_truncated():
+    """Edge endpoints and permutation entries go through the same integer rule; an
+    integer out of range is still an EdgeIndexError or a non-bijection."""
+    table = [
+        (lambda x: from_edge_list(3, [(0, x)]), "node index"),
+        (lambda x: from_edge_list(3, [(x, 2)]), "node index"),
+        (lambda x: Permutation((x, 0, 2)), "mapping entry"),
+    ]
+    for call, name in table:
+        for value in (True, 1.5, 1.0, np.float64(1.0), "1", None):
+            with pytest.raises(GraphError, match=f"^{name} must be an integer"):
+                call(value)
+    for w in (-1, 3):
+        with pytest.raises(EdgeIndexError, match=f"node index {w} out of range for n=3"):
+            from_edge_list(3, [(0, w)])
+    with pytest.raises(GraphError):
+        Permutation((0, 1, 3))
+    assert from_edge_list(3, [(np.int64(0), np.int32(2))]).edges() == [(0, 2)]
+    assert Permutation((np.int64(1), 0)).mapping == (1, 0)
+
+
+@pytest.mark.parametrize("p", [1.5, -0.2, float("nan"), float("inf"), True, "0.5", None])
+def test_erdos_renyi_rejects_p_outside_the_unit_interval(p):
+    with pytest.raises(GraphError, match=r"^p must be a real number in \[0, 1\]"):
+        erdos_renyi(5, p, np.random.default_rng(0))
+
+
+def test_erdos_renyi_takes_p_at_both_ends():
+    rng = np.random.default_rng(0)
+    assert erdos_renyi(5, 0, rng).num_edges == 0
+    assert erdos_renyi(5, np.float64(1.0), rng).num_edges == 10
+
+
 @pytest.mark.parametrize(
     "n, adjacency, error, message",
     [

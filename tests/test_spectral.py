@@ -617,6 +617,13 @@ def test_ladder_column_sums_are_the_exact_traces_where_admitted():
             power = power @ s
 
 
+def test_admitted_columns_stop_where_the_bound_reaches_2_53():
+    # jumps 1-16 on 300 nodes: Delta = 32, and n Delta^(k-1) = 300 * 2^(5(k-1))
+    # is below 2^53 through k = 9 and in [2^53, 2^54) at k = 10
+    g = from_edge_list(300, [(i, (i + d) % 300) for i in range(300) for d in range(1, 17)])
+    assert [spectral._admitted_columns(g, g, d) for d in (9, 10, 11, 16)] == [9, 10, 10, 10]
+
+
 def test_power_sum_witness_never_separates_isomorphic_pairs():
     rng = np.random.default_rng(73)
     pairs = [(g, h) for g, h, _ in random_graph_pairs(40, seed=74)]
