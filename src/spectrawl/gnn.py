@@ -165,8 +165,8 @@ def gnn_layer(g: Graph, x: np.ndarray, taps, sigma=LINEAR) -> np.ndarray:
 _GATHER_ROWS = 32
 #: diag_powers gathers when nnz * _GATHER_DENSITY <= n^2, i.e. mean degree <= n / 40
 _GATHER_DENSITY = 40
-#: float64 values per block (512 KiB) of sampled inputs and of widened powers:
-#: small enough to stay in cache
+#: float64 values per block (512 KiB) of sampled inputs, widened powers, wedge
+#: counts and edge rows: small enough to stay in cache
 _CHUNK_VALUES = 1 << 16
 
 
@@ -221,23 +221,30 @@ def _gather_product(slots, p: np.ndarray, dtype) -> np.ndarray:
 def _wedge_square(g: Graph) -> np.ndarray:
     """S^2 from the edge index, as float32: entry (i, j) counts the wedges i - k - j.
 
-    Slot t pairs every edge (k, i) with k's t-th neighbour j, one addition
-    per wedge: the sum of squared degrees in all, against m n for S S by
-    gathers. Edges are sorted by the degree of k, descending, so those of
-    slot t are a prefix; no index array outgrows the edge count. np.add.at
-    is several times slower into float32, so the wedges are counted in
-    float64; every count is at most n - 1, so the cast is exact.
+    Rows are counted a block of about _CHUNK_VALUES entries at a time: the
+    wedges of the block's rows, k's neighbours j for each edge (i, k), are
+    listed straight from the index and counted by one bincount, the sum of
+    squared degrees additions in all. Every count is at most n - 1, so the
+    block's float64 counts cast exactly into the float32 result, and no
+    other n x n buffer is made.
     """
     indptr, indices = g.edge_index
+    n = g.n
     deg = np.diff(indptr)
-    owner = np.repeat(np.arange(g.n), deg)
-    e = np.argsort(-deg[owner], kind="stable")
-    rows, first, degs = indices[e] * g.n, indptr[owner[e]], deg[owner[e]]
-    out = np.zeros(g.n * g.n)
-    for t in range(deg.max(initial=0)):
-        live = np.count_nonzero(degs > t)
-        np.add.at(out, rows[:live] + indices[first[:live] + t], 1.0)
-    return out.reshape(g.n, g.n).astype(np.float32)
+    out = np.empty((n, n), np.float32)
+    block = max(1, _CHUNK_VALUES // n)
+    for r in range(0, n, block):
+        rows = min(block, n - r)
+        k = indices[indptr[r] : indptr[r + rows]]  # the middle node of each edge's wedges
+        lens = deg[k]
+        # the block's t-th wedge ends at the neighbour of k at index position
+        # indptr[k] + t - (the block's wedges before its edge's first)
+        cells = np.repeat(indptr[k] - (np.cumsum(lens) - lens), lens)
+        cells += np.arange(len(cells))
+        cells = indices[cells]
+        cells += np.repeat(np.repeat(np.arange(rows) * n, deg[r : r + rows]), lens)  # + i's row offset
+        out[r : r + rows] = np.bincount(cells, minlength=rows * n).reshape(rows, n)
+    return out
 
 
 def _row_dots(p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -247,6 +254,26 @@ def _row_dots(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     (np.einsum) does.
     """
     return (p[:, None, :] @ q[:, :, None])[:, 0, 0]
+
+
+def _edge_dots(owner: np.ndarray, indices: np.ndarray, p: np.ndarray, dtype) -> np.ndarray:
+    """diag(S^5) from S^2 = p: entry i is the sum over i's edges (i, l) of <p_i, p_l>.
+
+    S^5 = S S^2 S^2, and S^2 is symmetric. One dot per undirected edge, in
+    dtype over rows of p taken a block of about _CHUNK_VALUES values at a
+    time, is credited to both ends by a float64 bincount. A dot is an entry
+    of S^4 and a sum one of diag(S^5), so with Delta the maximum degree
+    every partial sum is an integer at most Delta^4: exact in float32 below
+    2^24, and in float64 below 2^53.
+    """
+    once = owner < indices
+    i, l = owner[once], indices[once]
+    dots = np.empty(len(i))
+    block = max(1, _CHUNK_VALUES // p.shape[1])
+    for r in range(0, len(i), block):
+        e = slice(r, r + block)
+        dots[e] = _row_dots(p[i[e]].astype(dtype, copy=False), p[l[e]].astype(dtype, copy=False))
+    return np.bincount(i, dots, len(p)) + np.bincount(l, dots, len(p))
 
 
 def diag_powers(g: Graph, depth: int = 10) -> np.ndarray:
@@ -282,8 +309,13 @@ def diag_powers(g: Graph, depth: int = 10) -> np.ndarray:
       product is a gather: row i of S P is the sum of P's rows at i's
       neighbours, m n additions for m = nnz. Nodes are sorted by degree in
       chunks of 32 rows and the sums run one neighbour slot at a time over
-      a prefix of each chunk. This plan holds no more than the bytes of two
-      n x n float64 powers besides S at any depth.
+      a prefix of each chunk. At depth 6 no chain runs: column 5 is read
+      from S^2 alone by one dot per edge (`_edge_dots`), m n / 2 products
+      where S^3 costs m n additions and the row dots n^2 more, and the plan
+      holds one n x n float32 power. From depth 7 the chain forms S^3 for
+      diag(S^6) anyway, and column 5 costs n^2 more by row dots. This plan
+      holds no more than the bytes of two n x n float64 powers besides S at
+      any depth.
 
     Precision, with Delta the maximum degree (`_exact_columns`): every entry
     of S^j, and every gather sum or row dot behind it, is a nonnegative
@@ -293,24 +325,27 @@ def diag_powers(g: Graph, depth: int = 10) -> np.ndarray:
     - S^2 (entries at most Delta < 2^24) and every S^j with
       Delta^(j-1) < 2^24 are float32, summed in float32, and exact; from
       the first j past that bound the chain is float64.
-    - The row dot giving diag(S^k) runs in float32 only while both operands
-      are float32 and Delta^(k-1) < 2^24. Otherwise it runs in float64, on
-      rows of float32 operands widened a cache-sized block at a time.
+    - The row dot giving diag(S^k), or the edge dots giving diag(S^5) at
+      depth 6, run in float32 only while both operands are float32 and
+      Delta^(k-1) < 2^24. Otherwise they run in float64, on rows of float32
+      operands widened a cache-sized block at a time.
 
     The gathers are bound by memory traffic, so a float32 power halves its
     bytes and cuts the product's time to 0.5x-0.65x (n = 1000 to 2000). No
     inexact float32 value is ever formed, and the result is float64 either
     way: the same bits as an all-float64 chain.
 
-    The 40 sits at the measured crossover. Sparse / dense time of
-    diag_powers on G(n, d/n), depth 6 / depth 10, one BLAS thread, slot
-    table included, min of 11 (5 at n = 2000):
+    The 40 sits near the measured depth-10 crossover. At depth 6, where the
+    sparse plan forms no S^3, it stays the faster well past it. Sparse /
+    dense time of diag_powers on G(n, d/n), depth 6 / depth 10, one BLAS
+    thread, slot table included where built, min of 11 (5 at n = 2000),
+    on a shared 2-vCPU machine:
 
         n      d = n/100   n/64        n/45        n/40        n/32        n/24
-        300    0.64/0.69   0.74/0.80   1.09/1.03   1.00/1.03   1.24/1.31   1.86/1.55
-        500    0.41/0.44   0.52/0.59   0.66/0.77   0.73/0.81   0.94/0.93   1.15/1.24
-        1000   0.30/0.35   0.42/0.44   0.63/0.68   0.65/0.72   0.85/0.95   1.17/1.15
-        2000   0.25/0.27   0.37/0.41   0.58/0.81   0.67/0.84   0.81/0.99   1.17/1.45
+        300    0.21/0.51   0.27/0.75   0.35/0.96   0.33/0.98   0.52/1.57   0.68/1.54
+        500    0.18/0.50   0.23/0.59   0.24/0.57   0.53/0.68   0.37/0.93   0.48/1.27
+        1000   0.15/0.32   0.21/0.41   0.26/0.59   0.33/0.73   0.40/0.80   0.60/1.02
+        2000   0.13/0.26   0.19/0.50   0.50/0.70   0.64/0.77   1.00/0.94   1.29/1.14
     """
     depth = _check_int(depth, "depth", 1)
     n = g.n
@@ -344,6 +379,9 @@ def diag_powers(g: Graph, depth: int = 10) -> np.ndarray:
         owner = np.repeat(np.arange(n), deg)
         out[:, 3] = np.bincount(owner, p[owner, indices], n)  # S^2 summed over each node's edges
         dots(4, p, p)
+        if depth == 6:  # column 5 alone, by edge dots: no S^3 and no slot table
+            out[:, 5] = _edge_dots(owner, indices, p, np.float32 if 5 < exact else np.float64)
+            return out
         slots = _gather_slots(g) if depth > 5 else None
 
         def times_s(p: np.ndarray, j: int) -> np.ndarray:

@@ -3,7 +3,9 @@
 Relabeling ranks exact (old color, sorted neighbor color multiset) keys
 rather than hash digests, so there are no collision false-negatives. Labels
 are assigned canonically (sorted key order), which makes colorings comparable
-across graphs refined in one joint step.
+across graphs refined in one joint step. The certificate refinement of
+`_certify` does sum hashed weights, but its partition is never finer than
+1-WL's, so a collision can only send a pair on to exact refinement.
 """
 
 from __future__ import annotations
@@ -183,12 +185,61 @@ def wl_distinguish(g1: Graph, g2: Graph, init: str = "uniform") -> str:
     return "distinguished" if _joint_refinement(g1, g2, init)[0] is None else "indistinguishable"
 
 
-def _certify(g1: Graph, g2: Graph):
-    """1-WL's joint colorings (None: distinguished) and a verified isomorphism g1 -> g2, or None.
+def _color_weights(count: int) -> np.ndarray:
+    """Fixed integer weights w[c] < 2^21 of colors 0..count-1, as float64.
 
-    The edge check runs at most once: _joint_refinement runs it when it stops
-    at a discrete partition, and this runs it on any other equal colorings.
+    w[c] is the top 21 bits of SplitMix64's output mix of c (Steele, Lea &
+    Flood, OOPSLA 2014). A plain multiplicative hash is near linear in c, so
+    its sums tie on multisets of equal color totals, such as {a, d} and
+    {b, c} with a + d = b + c; the mixed weights have no such relation.
     """
+    z = np.arange(count, dtype=np.uint64) + np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return ((z ^ (z >> np.uint64(31))) >> np.uint64(43)).astype(np.float64)
+
+
+def _certify(g1: Graph, g2: Graph):
+    """Joint colorings with 1-WL's verdict (None: distinguished) and a verified isomorphism g1 -> g2, or None.
+
+    A certificate refinement runs first. From the degree ranks, each round's
+    new color is the joint rank, over both graphs, of (color, sum of
+    w[color] over the node's neighbors), w from _color_weights: one
+    bincount over both edge indices, exact in float64, as every sum is below
+    n 2^21 < 2^53. By induction each such color is a function of 1-WL's
+    color after as many rounds, the same function on both graphs, so:
+    - histograms that differ mean 1-WL's differ: distinguished;
+    - a discrete partition is 1-WL's too, with the same candidate map, so
+      one edge check (_verified_map) decides it, as it decides
+      _joint_refinement's discrete stop: a passing map is a certificate,
+      and a failing one means distinguished;
+    - a partition that ends stable but not discrete falls through to
+      _joint_refinement, whose equal colorings get the one edge check.
+    The colorings returned are the certificate refinement's where it
+    decides, and 1-WL's otherwise.
+    """
+    n = g1.n
+    if not np.array_equal(np.sort(g1.degrees), np.sort(g2.degrees)):
+        return None, None
+    colors = np.concatenate([_initial_colors(g1, "degree"), _initial_colors(g2, "degree")])
+    classes = colors.max() + 1
+    (indptr1, indices1), (indptr2, indices2) = g1.edge_index, g2.edge_index
+    owner = np.repeat(np.arange(2 * n), np.concatenate([np.diff(indptr1), np.diff(indptr2)]))
+    nbrs, weights = np.concatenate([indices1, indices2 + n]), _color_weights(n)
+    while 1 < classes < n:
+        sums = np.bincount(owner, weights[colors][nbrs], 2 * n).astype(np.int64)
+        # (color, sum) as one int64 key in the same order: below n^2 2^21,
+        # within int64 for n < 2^21, past any n x n adjacency that fits in memory
+        keys, colors = np.unique(colors * (sums.max() + 1) + sums, return_inverse=True)
+        if not np.array_equal(np.bincount(colors[:n], minlength=n), np.bincount(colors[n:], minlength=n)):
+            return None, None
+        if len(keys) == classes:  # no class split: stable
+            break
+        classes = len(keys)
+    if classes == n:
+        colorings = [colors[:n], colors[n:]]
+        mapping = _verified_map(g1, g2, colorings)
+        return (None, None) if mapping is None else (colorings, mapping)
     colorings, mapping = _joint_refinement(g1, g2)
     if colorings is not None and mapping is None:
         mapping = _verified_map(g1, g2, colorings)

@@ -330,6 +330,43 @@ def test_wedge_square_counts_s_squared_exactly():
         np.testing.assert_array_equal(s2, g.adjacency @ g.adjacency)
 
 
+def _star_plus_path(n=600):
+    """A hub joined to every other node, which also form a path: sparse, with maximum degree n - 1."""
+    return from_edge_list(n, [(0, i) for i in range(1, n)] + [(i, i + 1) for i in range(1, n - 1)])
+
+
+@pytest.mark.parametrize("g", [erdos_renyi(600, 8 / 600, np.random.default_rng(5)), _star_plus_path()])
+def test_wedge_square_and_depth_6_hold_one_float32_power(g):
+    g.edge_index  # cached with the graph, not counted here
+    for build in (gnn._wedge_square, lambda g: diag_powers(g, 6)):
+        tracemalloc.start()
+        try:
+            build(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # S^2 as float32, the depth-6 result, and three blocks of
+        # _CHUNK_VALUES float64 values: one block's counts and wedge lists,
+        # or a block of edge rows from each end, as float32 and widened
+        assert peak <= 4 * g.n**2 + 8 * 6 * g.n + 3 * 8 * gnn._CHUNK_VALUES
+
+
+def test_depth_6_reads_column_5_from_edge_dots(monkeypatch, count_calls):
+    # depth 7 still forms S^3 by gathers, and reads column 5 off it
+    monkeypatch.setattr(gnn, "_GATHER_DENSITY", 0)  # every graph takes the gather plan
+    slots = count_calls(gnn, "_gather_slots")
+    edge_dots = count_calls(gnn, "_edge_dots")
+    hub = _star_plus_path()
+    for g in _gather_cases() + [Graph(7, np.zeros((7, 7))), hub]:
+        del slots[:], edge_dots[:]
+        six = diag_powers(g, 6)
+        assert slots == []
+        # Delta^4 >= 2^24 only on the hub of degree 599: its dots widen to float64
+        assert [args[3] for args in edge_dots] == [np.float64 if g is hub else np.float32]
+        np.testing.assert_array_equal(six, diag_powers(g, 7)[:, :6])
+        assert len(slots) == 1
+
+
 def test_exact_columns_stop_where_the_bound_reaches_the_limit():
     # (depth, Delta, limit, n): the first k with n Delta^(k-1) >= limit, else depth
     cases = [(10, 255, 2**24, 1, 5), (10, 256, 2**24, 1, 4), (4, 255, 2**24, 1, 4),

@@ -592,6 +592,23 @@ def test_benchmark_reports_match_refinement_to_stability(monkeypatch):
     assert [discriminate_pair(pair.g1, pair.g2, c).to_json() for pair, c in cases] == reports
 
 
+def test_benchmark_reports_match_with_every_pair_falling_through(monkeypatch, count_calls):
+    # with every color weight equal, the certificate refinement's sums are
+    # w times the degrees: it stops at the degree ranks, which are never
+    # discrete, and every pair with equal degrees goes on to 1-WL's refinement
+    cases = [
+        (pair, c)
+        for pair, config in _benchmark_pairs((7,))
+        for c in (config, dataclasses.replace(config, check_conditions=not config.check_conditions))
+    ]
+    reports = [discriminate_pair(pair.g1, pair.g2, c).to_json() for pair, c in cases]
+    monkeypatch.setattr(wl, "_color_weights", lambda count: np.ones(count))
+    refined = count_calls(wl, "_joint_refinement")
+    assert [discriminate_pair(pair.g1, pair.g2, c).to_json() for pair, c in cases] == reports
+    same_degrees = [np.array_equal(np.sort(p.g1.degrees), np.sort(p.g2.degrees)) for p, _ in cases]
+    assert len(refined) == sum(same_degrees) > 0
+
+
 # ---------------------------------------------------------------------------
 # power sums: the walk ladder's exact column sums prove spectra apart
 # ---------------------------------------------------------------------------

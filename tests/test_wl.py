@@ -8,6 +8,7 @@ from spectrawl import (
     Permutation,
     apply_permutation,
     csl_base_graph,
+    discriminate_pair,
     erdos_renyi,
     from_edge_list,
     is_isomorphic_bruteforce,
@@ -336,6 +337,38 @@ def test_discrete_partition_that_is_no_isomorphism_is_distinguished(count_calls)
             # refinement calls the edge check only at a discrete partition
             decided_by_check += len(checks)
     assert decided_by_check == 20  # every pair, at both inits
+
+
+def test_certificate_refinement_checks_the_map_of_a_discrete_partition(count_calls):
+    rng = np.random.default_rng(137)
+    checks = count_calls(wl, "_verified_map")
+    refined = count_calls(wl, "_joint_refinement")
+    for _ in range(10):
+        g = erdos_renyi(int(rng.integers(30, 60)), 0.5, rng)
+        h = _neighbor_degree_swap(g, rng)
+        del checks[:]
+        # the certificate refinement is discrete where 1-WL's is, and the
+        # failing edge check is its verdict: distinguished, with no map
+        assert wl._certify(g, h) == (None, None)
+        assert len(checks) == 1
+    assert refined == []
+
+
+def test_discriminate_pair_keeps_the_verdict_of_1_wl():
+    rng = np.random.default_rng(139)
+    verdicts, certified = [], 0
+    for _ in range(30):
+        g = erdos_renyi(int(rng.integers(8, 60)), float(rng.uniform(0.1, 0.5)), rng)
+        swapped = g
+        for _ in range(int(rng.integers(1, 4))):
+            swapped = _double_edge_swap(swapped, rng)
+        for h in (swapped, apply_permutation(g, Permutation.random(g.n, rng))):
+            verdict = full_refinement(g, h, "uniform")[0]
+            assert discriminate_pair(g, h).wl == verdict
+            verdicts.append(verdict)
+            certified += wl._certify(g, h)[1] is not None
+    # the sample has both verdicts, and isomorphic pairs whose map is proven
+    assert set(verdicts) == {"distinguished", "indistinguishable"} and certified > 0
 
 
 def test_differing_degrees_build_no_neighbor_lists(count_calls, prism, bihexagon):
