@@ -4,8 +4,9 @@ Subcommands expose the library operations on graphs given as files in the
 edge-list format or as built-in names (prism, k33, bihexagon, bipentagon,
 csl:R). Each cmd_* returns its output lines and exit code, and main writes
 the lines to --out or stdout. Exit codes: 0 success, 1 failed check or
-unseparated pair, 2 usage or I/O error, or an eigensolver failure
-(spectral.ConvergenceFailure), which says nothing about the pair.
+unseparated pair, 2 usage or I/O error, a graph too large for memory
+(MemoryError), or an eigensolver failure (spectral.ConvergenceFailure); the
+last two say nothing about the pair.
 """
 
 from __future__ import annotations
@@ -261,7 +262,7 @@ def main(argv=None) -> int:
         # commands without --out ignore a config "out" too
         _emit("\n".join(lines), (args.out or cfg.get("out")) if "out" in args else None)
         return code
-    except (GraphError, OSError, json.JSONDecodeError, ValueError, spectral.ConvergenceFailure) as exc:
+    except (GraphError, OSError, json.JSONDecodeError, ValueError, MemoryError, spectral.ConvergenceFailure) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

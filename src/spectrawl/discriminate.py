@@ -156,16 +156,14 @@ def discriminate_pair(g1: Graph, g2: Graph, config: PairConfig = PairConfig()) -
     condition 1 without comparing rows, and the ladders stop at
     max(len(filter), k + 1) columns, enough for the same power-sum witness.
 
-    The WL verdict comes from wl._certify, with a candidate map checked edge
-    for edge (wl._verified_map) once per pair, where the colorings tie. A
-    certificate refinement by exact integer sums of color weights runs
-    first: it is never finer than 1-WL, so it decides the verdict when its
-    histograms differ or its partition is discrete, the map's check deciding
-    the latter. A partition that ends stable but not discrete goes on to
-    1-WL's exact refinement. A map that passes proves the pair isomorphic,
-    and every verdict follows from that: only g1's walk counts are built (to
-    depth len(filter)), g2's are g1's rows moved by the map, and no
-    eigenvalue is computed. Pairs it does not certify, such as
+    The WL verdict comes from wl._certify, the joint 1-WL refinement that
+    wl_distinguish also runs, with a candidate map checked edge for edge
+    (wl._verified_map) once per pair, where the colorings tie. Its rounds
+    rank exact integer sums of color weights, with an exact 1-WL round
+    wherever the sums split no class. A map that passes proves the pair
+    isomorphic, and every verdict follows from that: only g1's walk counts
+    are built (to depth len(filter)), g2's are g1's rows moved by the map,
+    and no eigenvalue is computed. Pairs it does not certify, such as
     vertex-transitive ones, take the full path.
     """
     colorings, mapping = wl._certify(g1, g2)

@@ -3,9 +3,11 @@
 Relabeling ranks exact (old color, sorted neighbor color multiset) keys
 rather than hash digests, so there are no collision false-negatives. Labels
 are assigned canonically (sorted key order), which makes colorings comparable
-across graphs refined in one joint step. The certificate refinement of
-`_certify` does sum hashed weights, but its partition is never finer than
-1-WL's, so a collision can only send a pair on to exact refinement.
+across graphs refined in one joint step. The joint refinement of a pair
+(`_certify`, behind `wl_distinguish`) mostly ranks integer sums of hashed
+color weights instead. Its partition is never finer than 1-WL's, and a sum
+round that splits no class is followed by an exact round, so a collision
+only delays a split to that round and never changes a verdict.
 """
 
 from __future__ import annotations
@@ -104,48 +106,6 @@ def wl_refine(g: Graph, init: str = "uniform") -> WLColoring:
     return WLColoring(tuple(history), stable_at, tuple(sorted(history[-1])))
 
 
-def _joint_refinement(g1: Graph, g2: Graph, init: str = "uniform"):
-    """Refine both graphs jointly: (colorings, mapping), or (None, None) once they differ.
-
-    The relabeling is shared, so color identifiers are comparable across the
-    graphs. Verdict and colorings, labels included, are those of joint
-    refinement from init to stability, but only rounds that can change them run:
-    - The degree multisets are compared first, before any neighbor list. One
-      round from the uniform init ranks the degrees, so that init starts from
-      the degree ranks; one class (a regular pair) is already stable.
-    - The histograms are compared after every round: refinement only splits
-      classes, so counts that differ once still differ at the end.
-    - Once both colorings are discrete, the next round would split a class iff
-      the color bijection phi is no isomorphism (each color names one node, so
-      v's neighbor colors equal phi(v)'s iff phi(N(v)) = N(phi(v))).
-      _verified_map decides it: a passing map is returned with the colorings,
-      which that round would keep; a failing one means "distinguished".
-    mapping is None where refinement ends stable but not discrete: no map was
-    checked there.
-    """
-    colorings = [_initial_colors(g1, init), _initial_colors(g2, init)]
-
-    def same_histogram(a, b) -> bool:  # also False for different node counts
-        return np.array_equal(np.sort(a), np.sort(b))
-
-    if not same_histogram(g1.degrees, g2.degrees):
-        return None, None
-    if init == "uniform":
-        colorings = [_initial_colors(g1, "degree"), _initial_colors(g2, "degree")]
-    nbrs, changed = None, True
-    # labels are dense over both graphs, and each graph holds every one
-    while changed and (classes := colorings[0].max(initial=0) + 1) > 1:
-        if classes == g1.n:
-            mapping = _verified_map(g1, g2, colorings)
-            return (None, None) if mapping is None else (colorings, mapping)
-        if nbrs is None:
-            nbrs = [_neighbor_lists(g1), _neighbor_lists(g2)]
-        colorings, changed = _refine_step(colorings, nbrs)
-        if not same_histogram(*colorings):
-            return None, None
-    return colorings, None
-
-
 def _verified_map(g1: Graph, g2: Graph, colorings) -> np.ndarray | None:
     """An isomorphism g1 -> g2 read off equal-histogram joint colorings, or None.
 
@@ -173,18 +133,6 @@ def _verified_map(g1: Graph, g2: Graph, colorings) -> np.ndarray | None:
     return mapping
 
 
-def wl_distinguish(g1: Graph, g2: Graph, init: str = "uniform") -> str:
-    """Joint refinement verdict: "distinguished" or "indistinguishable".
-
-    The verdict compares the sorted final color multisets of a joint
-    refinement (`_joint_refinement`). It starts from the degree ranks, stops
-    as soon as the histograms differ, and decides the round after a discrete
-    partition by one exact edge check; every verdict is the one full
-    refinement from init gives.
-    """
-    return "distinguished" if _joint_refinement(g1, g2, init)[0] is None else "indistinguishable"
-
-
 def _color_weights(count: int) -> np.ndarray:
     """Fixed integer weights w[c] < 2^21 of colors 0..count-1, as float64.
 
@@ -202,48 +150,67 @@ def _color_weights(count: int) -> np.ndarray:
 def _certify(g1: Graph, g2: Graph):
     """Joint colorings with 1-WL's verdict (None: distinguished) and a verified isomorphism g1 -> g2, or None.
 
-    A certificate refinement runs first. From the degree ranks, each round's
-    new color is the joint rank, over both graphs, of (color, sum of
-    w[color] over the node's neighbors), w from _color_weights: one
-    bincount over both edge indices, exact in float64, as every sum is below
-    n 2^21 < 2^53. By induction each such color is a function of 1-WL's
-    color after as many rounds, the same function on both graphs, so:
-    - histograms that differ mean 1-WL's differ: distinguished;
-    - a discrete partition is 1-WL's too, with the same candidate map, so
-      one edge check (_verified_map) decides it, as it decides
-      _joint_refinement's discrete stop: a passing map is a certificate,
-      and a failing one means distinguished;
-    - a partition that ends stable but not discrete falls through to
-      _joint_refinement, whose equal colorings get the one edge check.
-    The colorings returned are the certificate refinement's where it
-    decides, and 1-WL's otherwise.
+    One joint refinement of both graphs. It compares the degree multisets,
+    then starts from the degree ranks, which one round from the uniform init
+    gives. Most rounds are sum rounds: a node's new color is the joint rank,
+    over both graphs, of (color, sum of w[color] over its neighbors), w from
+    _color_weights, one bincount over both edge indices, exact in float64 as
+    every sum is below n 2^21 < 2^53. A sum round that splits no class is
+    followed by one exact round (_refine_step) on the same colors: if that
+    splits nothing either, the partition is stable; if it splits a class,
+    sum rounds resume. By induction each round's color is a function of
+    1-WL's color after as many rounds, the same function on both graphs,
+    and the final partition is equitable and refines the degrees, so it is
+    1-WL's stable partition of both graphs together. Hence:
+    - histograms that differ after any round mean 1-WL's differ at the end:
+      distinguished, with no map;
+    - once the partition is discrete, the next round would split a class
+      iff the color bijection phi is no isomorphism (each color names one
+      node, so v's neighbor colors equal phi(v)'s iff phi(N(v)) = N(phi(v))),
+      so one edge check (_verified_map) decides it: a passing map is a
+      certificate, and a failing one means distinguished;
+    - a partition that ends stable but not discrete is indistinguishable,
+      and its candidate map gets the same edge check, whose failure proves
+      nothing.
+    The color names are shared across the graphs but are not 1-WL's labels;
+    the partition they name is 1-WL's, and so is the candidate map.
     """
     n = g1.n
     if not np.array_equal(np.sort(g1.degrees), np.sort(g2.degrees)):
         return None, None
     colors = np.concatenate([_initial_colors(g1, "degree"), _initial_colors(g2, "degree")])
-    classes = colors.max() + 1
     (indptr1, indices1), (indptr2, indices2) = g1.edge_index, g2.edge_index
     owner = np.repeat(np.arange(2 * n), np.concatenate([np.diff(indptr1), np.diff(indptr2)]))
-    nbrs, weights = np.concatenate([indices1, indices2 + n]), _color_weights(n)
-    while 1 < classes < n:
+    nbrs, weights, lists = np.concatenate([indices1, indices2 + n]), _color_weights(n), None
+    classes, changed = colors.max() + 1, True
+    # labels are dense over both graphs, and with equal histograms each graph holds every one
+    while changed and 1 < classes < n:
         sums = np.bincount(owner, weights[colors][nbrs], 2 * n).astype(np.int64)
         # (color, sum) as one int64 key in the same order: below n^2 2^21,
         # within int64 for n < 2^21, past any n x n adjacency that fits in memory
-        keys, colors = np.unique(colors * (sums.max() + 1) + sums, return_inverse=True)
+        colors = np.unique(colors * (sums.max() + 1) + sums, return_inverse=True)[1]
+        if colors.max() + 1 == classes:  # the sums split no class: an exact round decides
+            lists = lists or [_neighbor_lists(g1), _neighbor_lists(g2)]
+            colorings, changed = _refine_step([colors[:n], colors[n:]], lists)
+            colors = np.concatenate(colorings)
         if not np.array_equal(np.bincount(colors[:n], minlength=n), np.bincount(colors[n:], minlength=n)):
             return None, None
-        if len(keys) == classes:  # no class split: stable
-            break
-        classes = len(keys)
-    if classes == n:
-        colorings = [colors[:n], colors[n:]]
-        mapping = _verified_map(g1, g2, colorings)
-        return (None, None) if mapping is None else (colorings, mapping)
-    colorings, mapping = _joint_refinement(g1, g2)
-    if colorings is not None and mapping is None:
-        mapping = _verified_map(g1, g2, colorings)
-    return colorings, mapping
+        classes = colors.max() + 1
+    colorings = [colors[:n], colors[n:]]
+    mapping = _verified_map(g1, g2, colorings)
+    return (None, None) if mapping is None and classes == n else (colorings, mapping)
+
+
+def wl_distinguish(g1: Graph, g2: Graph, init: str = "uniform") -> str:
+    """Joint 1-WL verdict: "distinguished" or "indistinguishable".
+
+    The verdict is that of _certify's joint refinement. init is checked
+    (ValueError on an unknown name) but cannot change the verdict: one round
+    from the uniform init gives the degree ranks, and refinement from
+    either ends at the same stable partition.
+    """
+    _initial_colors(g1, init)  # raises on an unknown init
+    return "distinguished" if _certify(g1, g2)[0] is None else "indistinguishable"
 
 
 def wl_feature_matrix(g: Graph, depth: int) -> np.ndarray:

@@ -57,6 +57,17 @@ def test_wl_missing_file(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("command", [("wl", "{path}", "prism"), ("features", "{path}")])
+def test_graph_too_large_for_memory_is_an_error(capsys, tmp_path, command):
+    # an n x n adjacency past any address space: numpy refuses it at once
+    path = tmp_path / "huge.txt"
+    path.write_text("100000000\n0 1\n")
+    code, out, err = run(capsys, *(arg.format(path=path) for arg in command))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "allocate" in err
+
+
 def test_spectral_pair(capsys):
     code, out, _ = run(capsys, "spectral", "prism", "k33")
     assert code == 0

@@ -613,21 +613,21 @@ def test_certified_pair_builds_one_ladder_and_no_spectrum(count_calls):
     eigvalsh = count_calls(np.linalg, "eigvalsh")
     walks = count_calls(gnn, "diag_powers")
     checks = count_calls(wl, "_verified_map")
-    refined = count_calls(wl, "_joint_refinement")
-    fell_through = []
+    steps = count_calls(wl, "_refine_step")
+    exact_rounds = []
     for g1, g2 in _relabeled_pairs():
         for config in _CERTIFIED_CONFIGS:
-            del walks[:], checks[:], refined[:]
+            del walks[:], checks[:], steps[:]
             report = discriminate_pair(g1, g2, config)
             assert report.overall == "inconclusive"
             assert [(args[0], args[1]) for args in walks] == [(g1, len(config.filter))]
             assert walks[0][0] is g1
             assert len(checks) == 1  # the edge check runs once per pair
-            fell_through.append(len(refined) == 1)
+            exact_rounds.append(len(steps))
     assert values == [] and eigvalsh == []
-    # the certificate refinement settles the four discrete pairs; the twins
-    # leave it stable but not discrete, and fall through to 1-WL's refinement
-    assert fell_through == [False] * 12 + [True] * 3
+    # sum rounds make the four discrete pairs discrete; the twins leave them
+    # stable but not discrete, and one exact round confirms it
+    assert exact_rounds == [0] * 12 + [1] * 3
 
 
 def test_certified_reports_match_the_full_path(monkeypatch):

@@ -574,9 +574,9 @@ def test_benchmark_pairs_form_no_eigenvectors(count_calls):
 
 
 def test_benchmark_reports_match_refinement_to_stability(monkeypatch):
-    # the refinement's degree start and discrete stop change no report: the
-    # reference refines from the uniform init to stability, and its equal
-    # colorings are checked for a certificate afterwards
+    # the sum rounds, the degree start and the discrete stop change no report:
+    # the reference refines by exact rounds from the uniform init to
+    # stability, and its equal colorings' map is checked afterwards
     cases = [
         (pair, c)
         for pair, config in _benchmark_pairs((7,))
@@ -584,18 +584,19 @@ def test_benchmark_reports_match_refinement_to_stability(monkeypatch):
     ]
     reports = [discriminate_pair(pair.g1, pair.g2, c).to_json() for pair, c in cases]
 
-    def reference(g1, g2, init="uniform"):
-        verdict, _, colorings = full_refinement(g1, g2, init)
-        return (colorings if verdict == "indistinguishable" else None), None
+    def reference(g1, g2):
+        verdict, _, colorings = full_refinement(g1, g2, "uniform")
+        if verdict == "distinguished":
+            return None, None
+        return colorings, wl._verified_map(g1, g2, colorings)
 
-    monkeypatch.setattr(wl, "_joint_refinement", reference)
+    monkeypatch.setattr(wl, "_certify", reference)
     assert [discriminate_pair(pair.g1, pair.g2, c).to_json() for pair, c in cases] == reports
 
 
 def test_benchmark_reports_match_with_every_pair_falling_through(monkeypatch, count_calls):
-    # with every color weight equal, the certificate refinement's sums are
-    # w times the degrees: it stops at the degree ranks, which are never
-    # discrete, and every pair with equal degrees goes on to 1-WL's refinement
+    # with every color weight equal, every sum round recounts the degrees and
+    # splits nothing, so each pair with equal degrees refines by exact rounds
     cases = [
         (pair, c)
         for pair, config in _benchmark_pairs((7,))
@@ -603,10 +604,11 @@ def test_benchmark_reports_match_with_every_pair_falling_through(monkeypatch, co
     ]
     reports = [discriminate_pair(pair.g1, pair.g2, c).to_json() for pair, c in cases]
     monkeypatch.setattr(wl, "_color_weights", lambda count: np.ones(count))
-    refined = count_calls(wl, "_joint_refinement")
+    steps = count_calls(wl, "_refine_step")
     assert [discriminate_pair(pair.g1, pair.g2, c).to_json() for pair, c in cases] == reports
     same_degrees = [np.array_equal(np.sort(p.g1.degrees), np.sort(p.g2.degrees)) for p, _ in cases]
-    assert len(refined) == sum(same_degrees) > 0
+    # regular pairs are stable from the degree ranks and run no round
+    assert (len(steps), sum(same_degrees)) == (244, 408)
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,12 @@ from spectrawl import wl
 from conftest import full_refinement, random_graph_pairs
 
 
+def _same_partition(colorings, final):
+    """Whether two joint colorings name the same classes of both graphs' nodes, one to one."""
+    a, b = np.concatenate(colorings).tolist(), np.concatenate(final).tolist()
+    return len(set(zip(a, b))) == len(set(a)) == len(set(b))
+
+
 def _classes(colors):
     groups = {}
     for v, c in enumerate(colors):
@@ -216,11 +222,10 @@ def test_distinguish_matches_dict_keyed_oracle():
             verdict = wl_distinguish(g1, g2, init)
             assert verdict == _oracle_distinguish(g1, g2, init)
             verdicts.append(verdict)
-            # equal colorings are the stable ones, labels included
-            colorings, _ = wl._joint_refinement(g1, g2, init)
+            # equal colorings name the stable partition of both graphs
+            colorings, _ = wl._certify(g1, g2)
             if colorings is not None:
-                final = full_refinement(g1, g2, init)[2]
-                assert [c.tolist() for c in colorings] == [c.tolist() for c in final]
+                assert _same_partition(colorings, full_refinement(g1, g2, init)[2])
     assert {"distinguished", "indistinguishable"} <= set(verdicts)
 
 
@@ -253,7 +258,8 @@ def _double_edge_swap(g, rng):
     raise AssertionError("no double-edge swap found")
 
 
-def test_early_verdict_matches_full_refinement(count_calls):
+def _swap_pairs():
+    """40 relabeled pairs alternating with 40 pairs one to three double-edge swaps apart."""
     rng = np.random.default_rng(79)
     pairs = []
     for _ in range(40):
@@ -263,6 +269,11 @@ def test_early_verdict_matches_full_refinement(count_calls):
         for _ in range(int(rng.integers(1, 4))):
             swapped = _double_edge_swap(swapped, rng)
         pairs.append((g, swapped))
+    return pairs
+
+
+def test_early_verdict_matches_full_refinement(count_calls):
+    pairs = _swap_pairs()
     steps = count_calls(wl, "_refine_step")
     early_exits = 0
     for g1, g2 in pairs:
@@ -270,31 +281,52 @@ def test_early_verdict_matches_full_refinement(count_calls):
         for init in ("uniform", "degree"):
             verdict, rounds, final = full_refinement(g1, g2, init)
             del steps[:]
-            colorings, _ = wl._joint_refinement(g1, g2, init)
+            colorings, _ = wl._certify(g1, g2)
+            # exact rounds run only where the sums split no class
             assert len(steps) <= rounds
             early_exits += len(steps) < rounds
             assert wl_distinguish(g1, g2, init) == verdict
-            # equal colorings are the stable ones, labels included
+            # equal colorings name the stable partition of both graphs
             assert (colorings is None) == (verdict == "distinguished")
             if colorings is not None:
-                assert [c.tolist() for c in colorings] == [c.tolist() for c in final]
+                assert _same_partition(colorings, final)
     # some swaps are told apart before refinement is stable, some never
     assert early_exits > 0
     verdicts = {full_refinement(g1, g2, "uniform")[0] for g1, g2 in pairs[1::2]}
     assert verdicts == {"distinguished", "indistinguishable"}
 
 
+def test_sum_collisions_cannot_change_a_verdict(monkeypatch):
+    # with every color weight equal, each sum round only recounts the degrees
+    # and splits nothing past them: every split is left to the exact rounds
+    monkeypatch.setattr(wl, "_color_weights", lambda count: np.ones(count))
+    distinguished = certified = 0
+    for g1, g2 in _swap_pairs():
+        verdict = full_refinement(g1, g2, "uniform")[0]
+        colorings, mapping = wl._certify(g1, g2)
+        assert wl_distinguish(g1, g2) == verdict
+        assert (colorings is None) == (verdict == "distinguished")
+        if mapping is not None:
+            assert apply_permutation(g1, Permutation(tuple(mapping.tolist()))) == g2
+            certified += 1
+        distinguished += verdict == "distinguished"
+    # a refinement that took a sum round with no split as stable would stop
+    # at the degree ranks and call 38 distinguished swap pairs alike
+    assert (distinguished, certified) == (38, 40)
+
+
 def test_rounds_run_only_until_the_answer_is_known(count_calls, prism):
     rng = np.random.default_rng(131)
     steps = count_calls(wl, "_refine_step")
     built = count_calls(wl, "_neighbor_lists")
-    # one round from the degree ranks makes G(60, 0.5) discrete, and the edge
-    # check stands in for the round that would confirm it
+    # one sum round from the degree ranks makes G(60, 0.5) discrete, so no
+    # exact round runs, and the edge check stands in for the round that
+    # would confirm it
     g = erdos_renyi(60, 0.5, rng)
     for init in ("uniform", "degree"):
         del steps[:]
         assert wl_distinguish(g, apply_permutation(g, Permutation.random(60, rng)), init) == "indistinguishable"
-        assert len(steps) == 1
+        assert steps == []
     # a regular pair is stable from the degree ranks: no round, no neighbor list
     del steps[:], built[:]
     csl = csl_base_graph(41, 5)
@@ -342,16 +374,16 @@ def test_discrete_partition_that_is_no_isomorphism_is_distinguished(count_calls)
 def test_certificate_refinement_checks_the_map_of_a_discrete_partition(count_calls):
     rng = np.random.default_rng(137)
     checks = count_calls(wl, "_verified_map")
-    refined = count_calls(wl, "_joint_refinement")
+    steps = count_calls(wl, "_refine_step")
     for _ in range(10):
         g = erdos_renyi(int(rng.integers(30, 60)), 0.5, rng)
         h = _neighbor_degree_swap(g, rng)
         del checks[:]
-        # the certificate refinement is discrete where 1-WL's is, and the
-        # failing edge check is its verdict: distinguished, with no map
+        # the sum rounds are discrete where 1-WL's are, and the failing
+        # edge check is the verdict: distinguished, with no map
         assert wl._certify(g, h) == (None, None)
         assert len(checks) == 1
-    assert refined == []
+    assert steps == []
 
 
 def test_discriminate_pair_keeps_the_verdict_of_1_wl():
