@@ -17,7 +17,7 @@ import numpy as np
 
 from . import gnn, spectral, wl
 from .gnn import FilterParams, Nonlinearity
-from .graphs import Graph, _check_int, from_edge_list
+from .graphs import Graph, Permutation, _check_int, from_edge_list
 from .spectral import embeddings_isomorphic
 
 
@@ -285,17 +285,13 @@ def csl_generate(spec: CslSpec = CslSpec()) -> list[tuple[Graph, int]]:
     Every graph is 4-regular; copies within a class are isomorphic by
     construction. Deterministic in spec.seed.
     """
-    from .graphs import Permutation, apply_permutation
-
     rng = np.random.default_rng(spec.seed)
     dataset = []
     for label, skip in enumerate(spec.skips):
-        base = csl_base_graph(spec.n, skip)
+        edges = csl_base_graph(spec.n, skip)._edge_pairs()
         for copy in range(spec.copies_per_class):
-            perm = Permutation.random(spec.n, rng)
-            g = apply_permutation(base, perm)
-            g = Graph(g.n, g.adjacency, name=f"csl-{spec.n}-{skip}-{copy}")
-            dataset.append((g, label))
+            q = np.asarray(Permutation.random(spec.n, rng).mapping)
+            dataset.append((Graph(spec.n, edges=q[edges], name=f"csl-{spec.n}-{skip}-{copy}"), label))
     return dataset
 
 

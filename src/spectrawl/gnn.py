@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .graphs import Graph, TooLargeError, _check_int, _check_positive
+from .graphs import Graph, TooLargeError, _check_int, _check_positive, _is_sparse
 
 if TYPE_CHECKING:  # pragma: no cover
     from .spectral import Spectrum
@@ -163,8 +163,6 @@ def gnn_layer(g: Graph, x: np.ndarray, taps, sigma=LINEAR) -> np.ndarray:
 
 #: rows that a gather product accumulates at a time
 _GATHER_ROWS = 32
-#: diag_powers gathers when nnz * _GATHER_DENSITY <= n^2, i.e. mean degree <= n / 40
-_GATHER_DENSITY = 40
 #: float64 values per block (512 KiB) of sampled inputs, widened powers, wedge
 #: counts and edge rows: small enough to stay in cache
 _CHUNK_VALUES = 1 << 16
@@ -290,8 +288,8 @@ def diag_powers(g: Graph, depth: int = 10) -> np.ndarray:
     for any a + b = k. Both plans share one chain: from a power P = S^(j-1),
     each step forms Q = S^j = S P and reads diag(S^(2j-1)) and diag(S^(2j))
     as row dots of P Q and Q Q, then drops P. The plans, chosen from the
-    graph's edge count, differ only in how the chain starts and in the
-    product by S:
+    graph's edge count by graphs._is_sparse, differ only in how the chain
+    starts and in the product by S:
 
     - dense, nnz * 40 > n^2: float64 BLAS on the adjacency. Column 2 is the
       row dots of S S. From depth 4, S^2 = S S^T is formed and, from depth
@@ -302,8 +300,8 @@ def diag_powers(g: Graph, depth: int = 10) -> np.ndarray:
       1 gemm, 4 n^3 flops. This plan holds the bytes of at most two n x n
       float64 powers besides S below depth 8, and of three (S^2, S^4, S^5)
       from there.
-    - sparse, nnz * 40 <= n^2: from the cached edge index alone; the n x n
-      adjacency is never read. Column 2 is the degrees. S^2 is counted from
+    - sparse, nnz * 40 <= n^2: from the edge index alone; the n x n
+      adjacency is never built. Column 2 is the degrees. S^2 is counted from
       the wedges i - k - j (sum of squared degrees additions), column 3 is
       S^2 summed over each node's edges, and the chain starts from S^2. Its
       product is a gather: row i of S P is the sum of P's rows at i's
@@ -368,7 +366,7 @@ def diag_powers(g: Graph, depth: int = 10) -> np.ndarray:
 
     if depth <= 2:
         return out
-    if 2 * g.num_edges * _GATHER_DENSITY <= n**2:  # sparse start
+    if _is_sparse(g):  # sparse start
         indptr, indices = g.edge_index
         deg = np.diff(indptr)
         out[:, 2] = deg

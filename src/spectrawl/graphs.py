@@ -1,4 +1,4 @@
-"""Simple undirected graphs as dense 0/1 adjacency matrices.
+"""Simple undirected graphs, identified by their CSR neighbour index.
 
 Everything downstream (color refinement, spectra, walk counting) operates on
 the `Graph` type defined here. Graphs are immutable after construction and
@@ -75,81 +75,119 @@ class ParseError(GraphError):
         self.line_no = line_no
 
 
-@dataclass(frozen=True, eq=False)
-class Graph:
-    """Simple undirected graph: symmetric {0,1} adjacency with zero diagonal.
+#: sparse: nnz * _SPARSE_DENSITY <= n^2 (mean degree <= n / 40). gnn.diag_powers then
+#: gathers and wl._verified_map compares edge codes, and neither builds the adjacency
+_SPARSE_DENSITY = 40
 
-    The adjacency array is stored as float64 (so it can feed linear algebra
-    directly) but every entry is exactly 0.0 or 1.0. The array is marked
-    read-only; build modified graphs through the constructors instead.
+
+def _is_sparse(g) -> bool:  # g: anything with n and num_edges
+    return 2 * g.num_edges * _SPARSE_DENSITY <= g.n**2
+
+
+def _first_edge_error(n: int, edges) -> GraphError | None:
+    """The error of the first bad edge among integer pairs, or None: a self-loop,
+    then an endpoint out of range, then a repeat of an earlier edge."""
+    seen = set()
+    for u, v in edges:
+        if u == v:
+            return SelfLoopError(u)
+        if not (0 <= u < n and 0 <= v < n):
+            return EdgeIndexError(v if 0 <= u < n else u, n)
+        if (min(u, v), max(u, v)) in seen:
+            return DuplicateEdgeError(u, v)
+        seen.add((min(u, v), max(u, v)))
+    return None
+
+
+def _edge_entries(n: int, edges) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted (rows, columns) of both orientations of each edge; a bad list raises its first error."""
+    e = np.asarray(edges)
+    if e.dtype.kind not in "iu" or e.ndim != 2 or e.shape[1] != 2:
+        raise GraphError(f"edges must be an integer array of shape (m, 2), got {e.dtype} of shape {e.shape}")
+    u, v = e.T.astype(np.int64)  # a uint64 past int64 wraps negative: out of range either way
+    bad = np.any((u == v) | (np.minimum(u, v) < 0) | (np.maximum(u, v) >= n))
+    # row * n + column, within int64 for n < 3 * 10^9; a repeated edge repeats its codes
+    codes = np.sort(np.concatenate([u * n + v, v * n + u]))
+    if bad or np.any(codes[1:] == codes[:-1]):
+        raise _first_edge_error(n, e.tolist())  # the scalar loop runs only to name the error
+    return np.divmod(codes, n)
+
+
+@dataclass(frozen=True, eq=False, init=False)
+class Graph:
+    """Simple undirected graph on nodes 0..n-1, identified by n and its edge index.
+
+    Build it from a symmetric {0,1} matrix with zero diagonal, Graph(n, A), or
+    from an (m, 2) integer array listing each edge once, Graph(n, edges=e).
+    Only the CSR index edge_index = (indptr, indices) is kept, both int64 and
+    read-only: v's neighbours are indices[indptr[v]:indptr[v + 1]], ascending.
     """
 
     n: int
-    adjacency: np.ndarray
-    name: str | None = None
+    edge_index: tuple[np.ndarray, np.ndarray]
+    name: str | None
 
-    def __post_init__(self):
-        object.__setattr__(self, "n", _check_int(self.n, "node count", 1, GraphError))
-        a = np.asarray(self.adjacency, dtype=np.float64)
-        if a.shape != (self.n, self.n):
-            raise GraphError(f"adjacency shape {a.shape} does not match n={self.n}")
-        if not np.all((a == 0.0) | (a == 1.0)):
-            raise GraphError("adjacency entries must be exactly 0 or 1")
-        if np.any(np.diag(a) != 0.0):
-            raise SelfLoopError(int(np.flatnonzero(np.diag(a))[0]))
-        if not np.array_equal(a, a.T):
-            raise GraphError("adjacency must be symmetric")
-        a = a.copy()
-        a.flags.writeable = False
-        object.__setattr__(self, "adjacency", a)
+    def __init__(self, n: int, adjacency=None, name: str | None = None, *, edges=None):
+        n = _check_int(n, "node count", 1, GraphError)
+        if (adjacency is None) == (edges is None):
+            raise GraphError("give exactly one of adjacency and edges")
+        if edges is None:
+            a = np.asarray(adjacency, dtype=np.float64)
+            if a.shape != (n, n):
+                raise GraphError(f"adjacency shape {a.shape} does not match n={n}")
+            rows, indices = np.nonzero(a)  # row-major: sorted by (row, column)
+            if not np.all(a[rows, indices] == 1.0):
+                raise GraphError("adjacency entries must be exactly 0 or 1")
+            if np.any(loops := rows == indices):
+                raise SelfLoopError(int(rows[loops][0]))
+            if not np.all(a[indices, rows] == 1.0):  # the nonzeros, all 1, are closed under transpose
+                raise GraphError("adjacency must be symmetric")
+        else:
+            rows, indices = _edge_entries(n, edges)
+        indptr = np.searchsorted(rows, np.arange(n + 1))  # rows are sorted
+        indptr.flags.writeable = indices.flags.writeable = False
+        vars(self).update(n=n, edge_index=(indptr, indices), name=name)
 
     def __eq__(self, other) -> bool:
         # name is a label, not part of graph identity
         return (
             isinstance(other, Graph)
             and self.n == other.n
-            and np.array_equal(self.adjacency, other.adjacency)
+            and all(map(np.array_equal, self.edge_index, other.edge_index))
         )
 
     def __hash__(self):
-        return hash((self.n, self.adjacency.tobytes()))
+        return hash((self.n, *(a.tobytes() for a in self.edge_index)))
+
+    @cached_property
+    def adjacency(self) -> np.ndarray:
+        """Dense read-only float64 0/1 adjacency, built from the edge index on first
+        use and cached: only dense readers (an eigensolver, a BLAS product) ask."""
+        indptr, indices = self.edge_index
+        a = np.zeros((self.n, self.n))
+        a[np.repeat(np.arange(self.n), np.diff(indptr)), indices] = 1.0
+        a.flags.writeable = False
+        return a
 
     @property
     def degrees(self) -> np.ndarray:
-        """Node degrees as float64, read off the cached edge index."""
+        """Node degrees as float64, read off the edge index."""
         return np.diff(self.edge_index[0]).astype(np.float64)
 
-    @cached_property
+    @property
     def num_edges(self) -> int:
-        """Edge count, read off the edge index if it is built, else counted on
-        the adjacency: asking for the count builds no index."""
-        index = self.__dict__.get("edge_index")  # where cached_property keeps it
-        return (np.count_nonzero(self.adjacency) if index is None else len(index[1])) // 2
+        """Edge count, read off the edge index."""
+        return len(self.edge_index[1]) // 2
 
-    @cached_property
-    def edge_index(self) -> tuple[np.ndarray, np.ndarray]:
-        """CSR neighbour index (indptr, indices), built once per graph.
-
-        The neighbours of node v are indices[indptr[v]:indptr[v + 1]], in
-        ascending order, so indptr[v + 1] - indptr[v] is v's degree and
-        len(indices) is the adjacency's nonzero count, twice the edge count.
-        Both arrays are int64 and read-only. The graph is immutable, so the
-        index is cached on it: neighbors, edges, 1-WL's neighbour lists and
-        the sparse closed-walk ladder all read this one copy.
-        """
-        rows, indices = np.nonzero(self.adjacency)  # row-major: sorted by (row, column)
-        indptr = np.zeros(self.n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(rows, minlength=self.n), out=indptr[1:])
-        for a in (indptr, indices):
-            a.flags.writeable = False
-        return indptr, indices
+    def _edge_pairs(self) -> np.ndarray:
+        """(m, 2) array of the undirected edges (u, v) with u < v, sorted."""
+        indptr, indices = self.edge_index
+        us = np.repeat(np.arange(self.n), np.diff(indptr))
+        return np.column_stack([us, indices])[us < indices]
 
     def edges(self) -> list[tuple[int, int]]:
         """Undirected edge list with u < v, sorted."""
-        indptr, indices = self.edge_index
-        us = np.repeat(np.arange(self.n), np.diff(indptr))
-        upper = us < indices
-        return list(zip(us[upper].tolist(), indices[upper].tolist()))
+        return list(map(tuple, self._edge_pairs().tolist()))
 
     def neighbors(self, v: int) -> np.ndarray:
         """Neighbours of node v in ascending order, as a read-only view of the edge index.
@@ -208,34 +246,28 @@ class GraphCorpusEntry:
 def from_edge_list(n: int, edges, name: str | None = None) -> Graph:
     """Build a graph from undirected edge pairs.
 
-    Raises SelfLoopError, DuplicateEdgeError, or EdgeIndexError on bad input,
-    and GraphError unless n and every endpoint are integers, n >= 1.
+    Raises SelfLoopError, DuplicateEdgeError, or EdgeIndexError for the first
+    bad edge, and GraphError unless n and every endpoint are integers, n >= 1.
     """
     n = _check_int(n, "node count", 1, GraphError)
-    a = np.zeros((n, n))
-    for u, v in edges:
-        # no lower bound here: an integer out of range is an EdgeIndexError below
-        u = _check_int(u, "node index", -np.inf, GraphError)
-        v = _check_int(v, "node index", -np.inf, GraphError)
-        if u == v:
-            raise SelfLoopError(u)
-        for w in (u, v):
-            if not 0 <= w < n:
-                raise EdgeIndexError(w, n)
-        if a[u, v] != 0.0:
-            raise DuplicateEdgeError(u, v)
-        a[u, v] = a[v, u] = 1.0
-    return Graph(n, a, name)
+    pairs = []
+    try:
+        for u, v in edges:
+            if type(u) is not int or type(v) is not int:  # no lower bound: range is checked below
+                u, v = (_check_int(w, "node index", -np.inf, GraphError) for w in (u, v))
+            pairs.append((u, v))
+        e = np.array(pairs, dtype=np.int64).reshape(-1, 2)  # OverflowError past int64
+    except (TypeError, ValueError, OverflowError) as exc:
+        # an error among the edges before the failing entry comes first
+        raise _first_edge_error(n, pairs) or exc
+    return Graph(n, edges=e, name=name)
 
 
 def apply_permutation(g: Graph, p: Permutation) -> Graph:
     """Relabel nodes: result B satisfies B[p(i), p(j)] = A[i, j]."""
     if len(p) != g.n:
         raise SizeMismatchError(f"permutation length {len(p)} != n={g.n}")
-    q = np.asarray(p.mapping)
-    b = np.empty_like(g.adjacency)
-    b[np.ix_(q, q)] = g.adjacency
-    return Graph(g.n, b, g.name)
+    return Graph(g.n, edges=np.asarray(p.mapping)[g._edge_pairs()], name=g.name)
 
 
 def is_isomorphic_bruteforce(g1: Graph, g2: Graph, max_n: int = 10) -> bool:
@@ -333,10 +365,10 @@ def erdos_renyi(n: int, p: float, rng: np.random.Generator, name: str | None = N
     n = _check_int(n, "node count", 1, GraphError)
     if isinstance(p, bool) or not isinstance(p, numbers.Real) or not 0 <= p <= 1:
         raise GraphError(f"p must be a real number in [0, 1], got {p!r}")
-    upper = rng.random((n, n)) < p
-    a = np.triu(upper, k=1)
-    a = (a | a.T).astype(np.float64)
-    return Graph(n, a, name)
+    rows = max(1, (1 << 16) // n)  # row blocks of one n x n draw, in stream order
+    blocks = [np.argwhere(np.triu(rng.random((min(rows, n - r), n)) < p, k=r + 1)) + [r, 0]  # j > i
+              for r in range(0, n, rows)]
+    return Graph(n, edges=np.concatenate(blocks), name=name)
 
 
 def save_graph(g: Graph, path) -> None:

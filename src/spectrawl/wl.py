@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import Graph, _check_int
+from .graphs import Graph, _check_int, _is_sparse
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,22 +115,28 @@ def _verified_map(g1: Graph, g2: Graph, colorings) -> np.ndarray | None:
     this a color-preserving bijection. A class of one node has one choice; a
     larger class is paired arbitrarily, which is why the map is checked
     before use. The check is exact: equal edge counts, and every edge of g1
-    lands on an edge of g2 (O(m) adjacency reads). A bijection that maps the
-    edges of g1 into an equally large edge set of g2 is an isomorphism. When
-    the graphs are isomorphic and every class is a single node, the candidate
-    is the one isomorphism, so it passes.
+    lands on an edge of g2. A bijection that maps the edges of g1 into an
+    equally large edge set of g2 is an isomorphism. When the graphs are
+    isomorphic and every class is a single node, the candidate is the one
+    isomorphism, so it passes. On a dense g2 the check reads m adjacency
+    entries. A sparse g2 (graphs._is_sparse) holds no adjacency, so the
+    sorted codes row n + column of the mapped edges are compared with g2's,
+    which its row-major index lists in order.
     """
+    n = g1.n
     order1 = np.argsort(colorings[0], kind="stable")
     order2 = np.argsort(colorings[1], kind="stable")
-    mapping = np.empty(g1.n, dtype=np.int64)
+    mapping = np.empty(n, dtype=np.int64)
     mapping[order1] = order2
-    (indptr1, indices1), (_, indices2) = g1.edge_index, g2.edge_index
+    (indptr1, indices1), (indptr2, indices2) = g1.edge_index, g2.edge_index
     if len(indices1) != len(indices2):
         return None
     rows = np.repeat(mapping, np.diff(indptr1))  # image of each edge's first node
-    if not np.all(g2.adjacency[rows, mapping[indices1]] == 1.0):
-        return None
-    return mapping
+    if not _is_sparse(g2):
+        return mapping if np.all(g2.adjacency[rows, mapping[indices1]] == 1.0) else None
+    codes = np.sort(rows * n + mapping[indices1])
+    codes2 = np.repeat(np.arange(n) * n, np.diff(indptr2)) + indices2  # sorted, as g2's index is
+    return mapping if np.array_equal(codes, codes2) else None
 
 
 def _color_weights(count: int) -> np.ndarray:
@@ -218,12 +224,15 @@ def wl_feature_matrix(g: Graph, depth: int) -> np.ndarray:
 
     This is what refinement effectively propagates when multiset hashing is
     collision-free; on regular graphs every column is constant, which is the
-    whole failure mode.
+    whole failure mode. Each product sums x over every node's neighbours on
+    the edge index; the counts are integers, exact in float64 below 2^53.
     """
     depth = _check_int(depth, "depth", 1)
+    indptr, indices = g.edge_index
+    owner = np.repeat(np.arange(g.n), np.diff(indptr))
     out = np.empty((g.n, depth))
     x = np.ones(g.n)
     for k in range(depth):
-        x = g.adjacency @ x
+        x = np.bincount(owner, x[indices], g.n)
         out[:, k] = x
     return out

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -758,3 +759,30 @@ def test_power_sums_through_p_n_skip_conditions_2_and_3(count_calls, prism, k33,
     # ladder. Where p_0..p_n tie no eigenvalue is computed either
     expected = {(g.name, d): (int(g.n >= max(6, d)), 2 * int(g.n >= max(6, d))) for g, _ in pairs for d in (3, 6, 10)}
     assert calls == expected and sum(c for c, _ in expected.values()) == 10
+
+
+def _sparse_edge_array(n, rng):
+    """Edges of a sparse graph on n nodes, mean degree about 8, drawn as codes u n + v with no n x n array."""
+    u, v = np.divmod(np.unique(rng.integers(0, n * n, 8 * n)), n)
+    return np.column_stack([u[u < v], v[u < v]])
+
+
+def test_sparse_pairs_hold_no_dense_matrix():
+    n = 2000
+    rng = np.random.default_rng(101)
+    g = Graph(n, edges=_sparse_edge_array(n, rng))
+    pairs = [(g, apply_permutation(g, Permutation.random(n, rng)), "inconclusive")]
+    g1, g2 = (Graph(n, edges=_sparse_edge_array(n, rng)) for _ in range(2))
+    pairs.append((g1, g2, "separable"))
+    for g1, g2, overall in pairs:
+        tracemalloc.start()
+        try:
+            report = discriminate_pair(g1, g2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.overall == overall
+        # the ladder's float32 S^2, its result and a few cache-sized blocks:
+        # no n x n float64 array, and no dense adjacency on any graph
+        assert peak <= 4 * n**2 + 8 * 6 * n + 3 * 8 * gnn._CHUNK_VALUES
+        assert "adjacency" not in vars(g1) and "adjacency" not in vars(g2)

@@ -33,7 +33,7 @@ from spectrawl import (
     spectral_diagonal_module,
     stochastic_variance,
 )
-from spectrawl import gnn
+from spectrawl import gnn, graphs
 from spectrawl.discriminate import PAIR_FILTER, csl_base_graph
 from spectrawl.gnn import DimensionMismatchError
 from spectrawl.graphs import TooLargeError
@@ -190,7 +190,7 @@ def test_diag_powers_half_power_ladder_is_exact():
     rng = np.random.default_rng(43)
     graphs = [e.graph for e in corpus()] + [erdos_renyi(n, 8 / n, rng) for n in (50, 300)]
     circulant = _circulant_1_to_4()
-    assert 2 * circulant.num_edges * gnn._GATHER_DENSITY > circulant.n**2
+    assert not gnn._is_sparse(circulant)
     for g in graphs + [circulant]:
         ref = _sequential_diag_powers(g, 16)
         for depth in range(1, 17):
@@ -278,6 +278,7 @@ def test_diag_powers_holds_two_powers_besides_s(depth):
 @pytest.mark.parametrize("depth", [5, 7, 8, 10, 16])
 def test_diag_powers_dense_plan_holds_three_powers_from_depth_8(depth):
     g = _circulant_1_to_4()
+    g.adjacency  # S: built once and cached with the graph, not counted here
     tracemalloc.start()
     try:
         x = diag_powers(g, depth)
@@ -315,7 +316,7 @@ def _gather_cases():
 
 
 def test_diag_powers_gather_plan_is_exact(monkeypatch):
-    monkeypatch.setattr(gnn, "_GATHER_DENSITY", 0)  # every graph takes the gather plan
+    monkeypatch.setattr(graphs, "_SPARSE_DENSITY", 0)  # every graph takes the gather plan
     for g in _gather_cases():
         ref = _sequential_diag_powers(g, 16)
         assert ref.max() < 2.0**53
@@ -353,7 +354,7 @@ def test_wedge_square_and_depth_6_hold_one_float32_power(g):
 
 def test_depth_6_reads_column_5_from_edge_dots(monkeypatch, count_calls):
     # depth 7 still forms S^3 by gathers, and reads column 5 off it
-    monkeypatch.setattr(gnn, "_GATHER_DENSITY", 0)  # every graph takes the gather plan
+    monkeypatch.setattr(graphs, "_SPARSE_DENSITY", 0)  # every graph takes the gather plan
     slots = count_calls(gnn, "_gather_slots")
     edge_dots = count_calls(gnn, "_edge_dots")
     hub = _star_plus_path()
@@ -380,7 +381,7 @@ def test_gather_chain_switches_to_float64_past_2_24(monkeypatch, count_calls):
     # so float32 cannot hold it; every count through depth 13 is below 2^53
     h = 257
     g = from_edge_list(h + 1, [(0, i) for i in range(1, h + 1)])
-    monkeypatch.setattr(gnn, "_GATHER_DENSITY", 0)
+    monkeypatch.setattr(graphs, "_SPARSE_DENSITY", 0)
     products = count_calls(gnn, "_gather_product")
     s, p = g.adjacency.astype(np.int64), np.eye(g.n, dtype=np.int64)
     ref = np.empty((g.n, 13), dtype=np.int64)
@@ -395,7 +396,7 @@ def test_gather_chain_switches_to_float64_past_2_24(monkeypatch, count_calls):
 
 
 def test_diag_powers_sparse_plan_never_reads_adjacency(monkeypatch):
-    monkeypatch.setattr(gnn, "_GATHER_DENSITY", 0)  # every graph takes the gather plan
+    monkeypatch.setattr(graphs, "_SPARSE_DENSITY", 0)  # every graph takes the gather plan
     for g in _gather_cases():
         bare = SimpleNamespace(n=g.n, edge_index=g.edge_index, num_edges=g.num_edges)
         for depth in range(1, 17):
@@ -423,12 +424,14 @@ def test_diag_powers_plan_follows_density():
         assert _blas_products(dense, 13) == [(True, n), (True, n), (False, n), (False, n)]
 
 
-def test_dense_plan_builds_no_edge_index():
-    g = erdos_renyi(60, 0.5, np.random.default_rng(79))
-    x = diag_powers(g, 10)
-    assert "edge_index" not in vars(g)  # the plan choice counted the edges on the adjacency
-    assert g.num_edges == len(g.edge_index[1]) // 2
-    np.testing.assert_array_equal(x, half_power_diag_powers(g, 10))
+def test_sparse_plan_builds_no_adjacency():
+    g = erdos_renyi(500, 6 / 500, np.random.default_rng(79))
+    assert gnn._is_sparse(g)
+    ladders = [diag_powers(g, depth) for depth in range(1, 17)]
+    assert "adjacency" not in vars(g)  # the plan choice and every stage read the edge index
+    ref = half_power_diag_powers(g, 16)
+    for x in ladders:
+        np.testing.assert_array_equal(x, ref[:, : x.shape[1]])
 
 
 def test_diag_powers_gather_plan_builds_one_slot_table(count_calls):

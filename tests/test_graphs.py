@@ -351,3 +351,93 @@ def test_neighbors_and_edges_read_the_edge_index(bihexagon):
 def test_neighbors_rejects_a_node_out_of_range(bihexagon, v):
     with pytest.raises(EdgeIndexError, match=f"node index {v} out of range for n=10"):
         bihexagon.neighbors(v)
+
+
+@pytest.mark.parametrize(
+    "edges, error, message",
+    [
+        ([(0, 0), (0, 5)], SelfLoopError, "self-loop on node 0"),
+        ([(0, 5), (0, 0)], EdgeIndexError, "node index 5 out of range for n=3"),
+        ([(7, 7)], SelfLoopError, "self-loop on node 7"),
+        ([(-1, 5)], EdgeIndexError, "node index -1 out of range for n=3"),
+        ([(0, 1), (1, 0), (2, 2)], DuplicateEdgeError, r"duplicate edge \(1, 0\)"),
+        ([(2, 2), (0, 1), (1, 0)], SelfLoopError, "self-loop on node 2"),
+        ([(0, 1), (0, 1.5)], GraphError, "node index must be an integer, got 1.5"),
+        ([(0, 0), (0, 1.5)], SelfLoopError, "self-loop on node 0"),
+        ([(0, 1), (1, 0), (0, "2")], DuplicateEdgeError, r"duplicate edge \(1, 0\)"),
+        ([(0, True)], GraphError, "node index must be an integer, got True"),
+        ([(0, 1), (2, 10**30), (1, 1)], EdgeIndexError, f"node index {10**30} out of range for n=3"),
+        ([(0, 1), (1, 1), (2, 10**30)], SelfLoopError, "self-loop on node 1"),
+        ([(0, 1), (0, 1, 2)], ValueError, r"too many values to unpack \(expected 2\)"),
+        ([(1, 1), (0, 1, 2)], SelfLoopError, "self-loop on node 1"),
+        (np.array([[0, 1], [1, 2], [2, 1]]), DuplicateEdgeError, r"duplicate edge \(2, 1\)"),
+    ],
+)
+def test_from_edge_list_reports_the_first_bad_edge(edges, error, message):
+    with pytest.raises(error, match=f"^{message}$") as err:
+        from_edge_list(3, edges)
+    assert type(err.value) is error
+
+
+@pytest.mark.parametrize(
+    "kwargs, error, message",
+    [
+        ({"edges": np.array([[0, 1], [1, 1], [0, 7]])}, SelfLoopError, "self-loop on node 1"),
+        ({"edges": np.array([[0, 1], [0, 3]])}, EdgeIndexError, "node index 3 out of range for n=3"),
+        ({"edges": np.array([[0, 1], [2, 1], [1, 0]])}, DuplicateEdgeError, r"duplicate edge \(1, 0\)"),
+        ({"edges": np.array([[0, 2**63 + 5]], dtype=np.uint64)}, EdgeIndexError, f"node index {2**63 + 5} out"),
+        ({"edges": np.array([[0.0, 1.0]])}, GraphError, r"edges must be an integer array of shape \(m, 2\)"),
+        ({"edges": np.array([[True, False]])}, GraphError, "edges must be an integer array"),
+        ({"edges": np.array([0, 1])}, GraphError, "edges must be an integer array"),
+        ({"edges": np.array([[0, 1, 2]])}, GraphError, "edges must be an integer array"),
+        ({}, GraphError, "give exactly one of adjacency and edges"),
+        ({"edges": []}, GraphError, r"integer array of shape \(m, 2\), got float64 of shape \(0,\)"),
+        ({"adjacency": np.zeros((3, 3)), "edges": [(0, 1)]}, GraphError, "give exactly one of"),
+    ],
+)
+def test_edge_array_constructor_rejects_bad_edges(kwargs, error, message):
+    with pytest.raises(error, match=message) as err:
+        Graph(3, **kwargs)
+    assert type(err.value) is error
+
+
+def test_constructors_agree_on_one_edge_set(tmp_path):
+    rng = np.random.default_rng(103)
+    g = erdos_renyi(40, 0.15, rng)
+    edges = np.array(g.edges())[rng.permutation(g.num_edges)]  # any order
+    flip = rng.random(len(edges)) < 0.5
+    edges[flip] = edges[flip, ::-1]  # and either orientation
+    p = Permutation.random(g.n, rng)
+    save_graph(g, tmp_path / "g.txt")
+    built = [
+        Graph(g.n, g.adjacency),
+        Graph(g.n, edges=edges, name="other"),
+        from_edge_list(g.n, edges.tolist()),
+        apply_permutation(apply_permutation(g, p), p.inverse()),
+        load_graph(tmp_path / "g.txt"),
+    ]
+    for h in built:
+        assert h == g and hash(h) == hash(g)
+        for a, b in zip(h.edge_index, g.edge_index):
+            assert a.dtype == np.int64 and not a.flags.writeable
+            np.testing.assert_array_equal(a, b)
+    empty = Graph(3, edges=np.empty((0, 2), dtype=int))
+    assert empty == Graph(3, np.zeros((3, 3))) != Graph(3, edges=[(0, 1)])
+
+
+@pytest.mark.parametrize("n, p", [(1, 0.5), (7, 0.5), (300, 8 / 300), (1100, 0.01), (50, 1.0)])
+def test_erdos_renyi_keeps_the_dense_draw(n, p):
+    # row blocks of the draw: the same graph, and the generator left in the same state
+    rng, ref = np.random.default_rng(n), np.random.default_rng(n)
+    upper = np.triu(ref.random((n, n)) < p, k=1)
+    assert erdos_renyi(n, p, rng) == Graph(n, (upper | upper.T).astype(np.float64))
+    assert rng.random() == ref.random()
+
+
+def test_graph_keeps_no_dense_input():
+    a = erdos_renyi(30, 0.3, np.random.default_rng(107)).adjacency.copy()
+    g = Graph(30, a)
+    assert "adjacency" not in vars(g)
+    s = g.adjacency  # built from the index on first use, then cached
+    assert g.adjacency is s and s is not a and not s.flags.writeable
+    np.testing.assert_array_equal(s, a)

@@ -16,7 +16,7 @@ from spectrawl import (
     wl_feature_matrix,
     wl_refine,
 )
-from spectrawl import wl
+from spectrawl import graphs, wl
 
 from conftest import full_refinement, random_graph_pairs
 
@@ -468,3 +468,39 @@ def test_verified_map_needs_equal_edge_counts():
     # every edge of the path lands on an edge of the triangle, one is left over
     assert wl._verified_map(path, triangle, uniform) is None
     assert wl._verified_map(triangle, triangle, uniform).tolist() == [0, 1, 2]
+
+
+@pytest.mark.parametrize("density", [0, 10**9], ids=["all-sparse", "all-dense"])
+def test_verified_map_reads_the_same_on_either_plan(monkeypatch, density):
+    # sorted edge codes on a sparse g2, adjacency reads on a dense one: one answer
+    rng = np.random.default_rng(109)
+    cases = []
+    for n, p in ((12, 0.3), (40, 0.1), (60, 0.5)):
+        g = erdos_renyi(n, p, rng)
+        perm = Permutation.random(n, rng)
+        # node v of g1 and node perm(v) of g2 share color v: the relabeling
+        # itself, then a map off by one transposition
+        colors = np.argsort(perm.mapping)
+        cases.append((g, apply_permutation(g, perm), [np.arange(n), colors]))
+        colors = colors.copy()
+        colors[[0, 1]] = colors[[1, 0]]
+        cases.append((g, apply_permutation(g, perm), [np.arange(n), colors]))
+    expected = [wl._verified_map(g1, g2, c) is not None for g1, g2, c in cases]
+    monkeypatch.setattr(graphs, "_SPARSE_DENSITY", density)
+    for (g1, g2, colorings), found in zip(cases, expected):
+        g2 = Graph(g2.n, edges=np.array(g2.edges()).reshape(-1, 2))  # a fresh graph, no adjacency yet
+        assert (wl._verified_map(g1, g2, colorings) is not None) == found
+        assert ("adjacency" in vars(g2)) == (density != 0)
+    assert expected.count(True) == 3
+
+
+def test_feature_matrix_is_the_adjacency_ladder_from_the_index():
+    rng = np.random.default_rng(113)
+    for g in [erdos_renyi(n, p, rng) for n, p in ((1, 0.5), (30, 0.2), (200, 0.05), (80, 0.6))]:
+        x = wl_feature_matrix(g, 6)
+        assert "adjacency" not in vars(g)
+        ref, col = np.empty((g.n, 6)), np.ones(g.n)
+        for k in range(6):
+            col = g.adjacency @ col
+            ref[:, k] = col
+        np.testing.assert_array_equal(x, ref)
