@@ -17,7 +17,7 @@ import numpy as np
 
 from . import gnn, spectral, wl
 from .gnn import FilterParams, Nonlinearity
-from .graphs import Graph, Permutation, _check_int, from_edge_list
+from .graphs import Graph, _check_int, from_edge_list
 from .spectral import embeddings_isomorphic
 
 
@@ -112,17 +112,6 @@ class DiscriminationReport:
         return DiscriminationReport.from_dict(json.loads(text))
 
 
-def _low_power_sum_gap(g1: Graph, g2: Graph) -> int | None:
-    """The first k whose power sums p_k are known to differ before any ladder is built.
-
-    p_0, p_1 and p_2 come from the node and edge counts
-    (spectral._low_power_sums): 0 when the node counts differ, 2 when only
-    the edge counts do, else None.
-    """
-    gaps = np.flatnonzero(spectral._low_power_sums(g1) != spectral._low_power_sums(g2))
-    return int(gaps[0]) if gaps.size else None
-
-
 def discriminate_pair(g1: Graph, g2: Graph, config: PairConfig = PairConfig()) -> DiscriminationReport:
     """Run color refinement, spectrum comparison, and the closed-walk module.
 
@@ -130,17 +119,18 @@ def discriminate_pair(g1: Graph, g2: Graph, config: PairConfig = PairConfig()) -
     inconclusive report never implies the graphs are isomorphic. Each graph's
     walk counts are computed once and shared by every mechanism.
 
-    The spectral verdict is proven from the walk counts first: their column
-    sums are the power sums p_k = trace(S^k) = sum_i lambda_i^k, exact where
-    spectral._power_sum_witness admits them, and the first k whose p_k differ
-    is the witness (k, p_k(g1), p_k(g2)); no eigenvalue is computed then.
-    When every admitted power sum ties, with p_0..p_n among them (n the node
-    count, so fewer nodes than admitted columns), Newton's identities make
-    the characteristic polynomials equal: the spectra are equal, and the
+    The spectral verdict is proven from the power sums p_k = trace(S^k) =
+    sum_i lambda_i^k first (spectral._power_sums): p_0..p_2 from the node and
+    edge counts at any filter length, later p_k from the walk counts' column
+    sums where they are exact. The first k whose p_k differ is the witness
+    (k, p_k(g1), p_k(g2)); no eigenvalue is computed then. When every
+    admitted power sum ties, with p_0..p_n among them (n the node count, so
+    fewer nodes than admitted sums), Newton's identities make the
+    characteristic polynomials equal: the spectra are equal, and the
     spectral verdict is inconclusive with no eigenvalue computed either.
     Only when every admitted p_k ties short of p_n is the spectrum built
-    values-first: eigenvalues from eigvalsh, checked against the walk counts
-    by the same trace identity (a spectral.ConvergenceFailure when they
+    values-first: eigenvalues from eigvalsh, checked against the same power
+    sums by the trace identity (a spectral.ConvergenceFailure when they
     disagree beyond rounding), compared at tol, and the witness is an
     eigenvalue.
 
@@ -151,10 +141,10 @@ def discriminate_pair(g1: Graph, g2: Graph, config: PairConfig = PairConfig()) -
     Otherwise they are looked for on the values-first spectra, which form
     eigenvectors, by one full decomposition per graph, only when some
     eigenvalue group is unmatched. The ladders are condition_depth deep,
-    unless the node counts (p_0) or edge counts (p_2 = 2m) differ at some k
-    below condition_depth: then column k's sums differ, which proves
-    condition 1 without comparing rows, and the ladders stop at
-    max(len(filter), k + 1) columns, enough for the same power-sum witness.
+    unless the counts-only witness (spectral._power_sum_witness with no
+    ladders: p_0 or p_2) differs at some k below condition_depth: then
+    column k's sums differ, which proves condition 1 without comparing rows,
+    and the ladders stop at max(len(filter), k + 1) columns.
 
     The WL verdict comes from wl._certify, the joint 1-WL refinement that
     wl_distinguish also runs, with a candidate map checked edge for edge
@@ -182,19 +172,20 @@ def discriminate_pair(g1: Graph, g2: Graph, config: PairConfig = PairConfig()) -
             conditions = spectral.ConditionReport(False, None, None, "inconclusive")
     else:
         d = config.condition_depth if config.check_conditions else 0
-        # column k's sums differ, so the walk rows do, at any tol: its entries
-        # are small exact integers, which the row compare's rounding keeps.
-        # Below d that proves condition 1, and the ladders need k + 1 columns
-        k = _low_power_sum_gap(g1, g2)
-        rows_differ = k is not None and k < d
-        depth = max(len(config.filter), k + 1 if rows_differ else d)
+        # the counts' p_k differ, so column k's sums and the walk rows do, at
+        # any tol: small exact integers, which the row compare's rounding
+        # keeps. Below d that proves condition 1; the ladders need k + 1 columns
+        low = spectral._power_sum_witness(g1, g2)
+        rows_differ = low is not None and low[0] < d
+        depth = max(len(config.filter), low[0] + 1 if rows_differ else d)
         x1, x2 = gnn.diag_powers(g1, depth), gnn.diag_powers(g2, depth)
         # formed on first call: by the fallback below, or for conditions 2 and 3
         spectra = functools.cache(lambda: (spectral._values_first(g1, x1), spectral._values_first(g2, x2)))
 
         witness = spectral._power_sum_witness(g1, g2, x1, x2)
-        # p_0..p_n tie, which fixes the characteristic polynomial
-        spectra_equal = witness is None and spectral._admitted_columns(g1, g2, depth) > g1.n
+        # p_0..p_n tie, which fixes the characteristic polynomial. The witness
+        # compared the admitted ones of max(3, depth) power sums
+        spectra_equal = witness is None and spectral._admitted_columns(g1, g2, max(3, depth)) > g1.n
         if witness is None and not spectra_equal:
             witness = spectral.spectra_differ(*spectra(), config.tol)
         spectral_verdict = "separable" if witness is not None else "inconclusive"
@@ -226,7 +217,7 @@ def discriminate_pair(g1: Graph, g2: Graph, config: PairConfig = PairConfig()) -
         spectral_verdict=spectral_verdict,
         spectral_witness=witness,
         diag_verdict=diag_verdict,
-        diag_outputs=(tuple(float(v) for v in y1), tuple(float(v) for v in y2)),
+        diag_outputs=(tuple(y1.tolist()), tuple(y2.tolist())),
         conditions=conditions,
         overall="separable" if separable else "inconclusive",
     )
@@ -290,7 +281,7 @@ def csl_generate(spec: CslSpec = CslSpec()) -> list[tuple[Graph, int]]:
     for label, skip in enumerate(spec.skips):
         edges = csl_base_graph(spec.n, skip)._edge_pairs()
         for copy in range(spec.copies_per_class):
-            q = np.asarray(Permutation.random(spec.n, rng).mapping)
+            q = rng.permutation(spec.n)
             dataset.append((Graph(spec.n, edges=q[edges], name=f"csl-{spec.n}-{skip}-{copy}"), label))
     return dataset
 

@@ -3,9 +3,9 @@
 A `Spectrum` carries eigenvalues sorted ascending, an orthonormal eigenvector
 matrix, and the partition of eigenvalue indices into near-degenerate groups.
 `eigendecompose` builds it eagerly; `discriminate_pair` first compares the
-exact power sums of its walk ladders (`_power_sum_witness`), and only when
-they tie builds it values-first, with eigenvectors formed by one full
-decomposition the first time its condition test asks for a group's basis.
+exact power sums (`_power_sums`), and only when they tie builds it
+values-first, with eigenvectors formed by one full decomposition the first
+time its condition test asks for a group's basis.
 On top of that this module builds the separability machinery: grouped-spectrum
 comparison, the three-condition feature test, eigenvalue-isolating polynomial
 filters, and the absolute-eigenvector test for equal simple spectra.
@@ -164,21 +164,12 @@ def _spectrum(g: Graph | Spectrum) -> Spectrum:
     return g if isinstance(g, Spectrum) else eigendecompose(g)
 
 
-def _low_power_sums(g: Graph) -> np.ndarray:
-    """The power sums p_0 = n, p_1 = trace S = 0 and p_2 = trace S^2 = 2m, as float64.
-
-    They are read off the node and edge counts: Graph has no self-loops, and
-    S^2's diagonal holds the degrees.
-    """
-    return np.array([g.n, 0.0, 2.0 * g.num_edges])
-
-
 def _values_first(g: Graph, walks: np.ndarray) -> Spectrum:
     """Spectrum of g from eigvalsh alone, checked against g's closed-walk counts.
 
     walks holds diag(S^k) in column k, as `gnn.diag_powers` returns it. The
-    eigenvalues are checked by the trace identity sum_i lambda_i^k = trace(S^k)
-    = sum_v walks[v, k] instead of the residual and orthogonality checks of
+    eigenvalues are checked by the trace identity sum_i lambda_i^k = p_k
+    (`_power_sums`) instead of the residual and orthogonality checks of
     `eigendecompose`, which need eigenvectors. They are formed, all at once,
     on the first request for a group's basis (`_group_basis`).
     """
@@ -186,10 +177,7 @@ def _values_first(g: Graph, walks: np.ndarray) -> Spectrum:
         w = np.linalg.eigvalsh(g.adjacency)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(str(exc)) from exc
-    # a ladder shorter than 3 is replaced by the traces of S^0, S^1 and S^2,
-    # so that a short filter still checks something
-    traces = walks.sum(axis=0) if walks.shape[1] >= 3 else _low_power_sums(g)
-    _check_power_sums(w, traces, walks.shape[1])
+    _check_power_sums(w, _power_sums(g, walks), walks.shape[1])
     w.flags.writeable = False
     return Spectrum(w, None, _group_indices(w, default_group_tol(w)), g)
 
@@ -219,6 +207,18 @@ def _check_power_sums(w: np.ndarray, traces: np.ndarray, depth: int) -> None:
         )
 
 
+def _power_sums(g: Graph, walks: np.ndarray | None = None) -> np.ndarray:
+    """g's power sums p_k = trace(S^k) = sum_i lambda_i^k, k < max(3, width of walks), as float64.
+
+    p_0 = n, p_1 = trace S = 0 and p_2 = trace S^2 = 2m are read off the node
+    and edge counts at any ladder width: Graph has no self-loops, and S^2's
+    diagonal holds the degrees. p_k for k >= 3 is the sum of column k of
+    walks, a walk ladder (`gnn.diag_powers`): the closed walks of length k.
+    """
+    high = () if walks is None else walks[:, 3:].sum(axis=0)
+    return np.concatenate(([g.n, 0.0, 2.0 * g.num_edges], high))
+
+
 def _admitted_columns(g1: Graph, g2: Graph, depth: int) -> int:
     """How many leading columns of depth-deep walk ladders of g1 and g2 are exact.
 
@@ -232,15 +232,16 @@ def _admitted_columns(g1: Graph, g2: Graph, depth: int) -> int:
 
 
 def _power_sum_witness(
-    g1: Graph, g2: Graph, walks1: np.ndarray, walks2: np.ndarray
+    g1: Graph, g2: Graph, walks1: np.ndarray | None = None, walks2: np.ndarray | None = None
 ) -> tuple[int, int, int] | None:
     """(k, p_k(g1), p_k(g2)) at the first k whose exact power sums differ, or None.
 
-    p_k = trace(S^k) = sum_i lambda_i^k is column k's sum of a walk ladder
-    (`gnn.diag_powers`), so different p_k prove different spectra with no
-    eigenvalue computed. Only the columns `_admitted_columns` admits count.
+    The sums are `_power_sums`, so p_0..p_2 come from the node and edge
+    counts, and with no ladders only they are compared. Only the first
+    `_admitted_columns` of them count. Different p_k prove different spectra
+    with no eigenvalue computed.
     """
-    p1, p2 = walks1.sum(axis=0), walks2.sum(axis=0)
+    p1, p2 = _power_sums(g1, walks1), _power_sums(g2, walks2)
     for k in range(_admitted_columns(g1, g2, min(len(p1), len(p2)))):
         if p1[k] != p2[k]:
             return k, int(p1[k]), int(p2[k])

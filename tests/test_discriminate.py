@@ -160,18 +160,23 @@ def test_discriminate_pair_computes_spectrum_and_walks_once(count_calls):
 
 
 def test_power_sums_separate_without_the_eigensolver(count_calls, prism, k33):
-    # trace(S^3) is 6 x the triangle count: 12 for the prism, 0 for K3,3. An
-    # independent sparse pair separates by its power sums and by condition 1,
-    # so neither the spectrum nor any eigenvector is formed
+    # an independent sparse pair whose edge counts differ separates by
+    # p_2 = 2m, read off the counts at any filter length, and by condition 1,
+    # so neither the spectrum nor any eigenvector is formed. trace(S^3) is
+    # 6 x the triangle count: 12 for the prism, 0 for K3,3, with equal p_0..p_2,
+    # so that pair needs a ladder of at least 4 columns
     lapack = [count_calls(np.linalg, name) for name in ("eigvalsh", "eigh", "solve", "qr", "svd")]
     rng = np.random.default_rng(107)
-    sparse = erdos_renyi(300, 8 / 300, rng), erdos_renyi(300, 8 / 300, rng)
-    for config in (PairConfig(), PairConfig(check_conditions=True)):
-        report = discriminate_pair(prism, k33, config)
+    g1, g2 = erdos_renyi(300, 8 / 300, rng), erdos_renyi(300, 8 / 300, rng)
+    assert g1.num_edges != g2.num_edges
+    filters = (PAIR_FILTER, FilterParams((1.0,)), FilterParams((0.5, -1.0)))
+    for config in [PairConfig(filter=h, check_conditions=check) for h in filters for check in (False, True)]:
+        if len(config.filter) > 3 or config.check_conditions:
+            report = discriminate_pair(prism, k33, config)
+            assert (report.spectral_verdict, report.spectral_witness) == ("separable", (3, 12, 0))
+        report = discriminate_pair(g1, g2, config)
         assert report.spectral_verdict == "separable"
-        assert report.spectral_witness == (3, 12, 0)
-        report = discriminate_pair(*sparse, config)
-        assert report.spectral_verdict == "separable" and len(report.spectral_witness) == 3
+        assert report.spectral_witness == (2, 2 * g1.num_edges, 2 * g2.num_edges)
         assert config.check_conditions is (report.conditions is not None)
     assert lapack == [[]] * 5
 
@@ -728,9 +733,13 @@ def test_depth_rule_reports_match_full_depth_ladders(monkeypatch, prism, k33, bi
         for d in (1, 2, 3, 10)
     ]
     reports = [discriminate_pair(g1, g2, c).to_json() for g1, g2 in pairs for c in configs]
-    # the reference: no power sum is known to differ, so every ladder is
-    # max(len(filter), condition_depth) deep and condition 1 is decided on rows
-    monkeypatch.setattr(discriminate, "_low_power_sum_gap", lambda g1, g2: None)
+    # the reference: the counts-only witness finds nothing, so every ladder
+    # is max(len(filter), condition_depth) deep and condition 1 is decided on
+    # rows. The witness over ladders still reads p_0..p_2 from the counts
+    ladder_witness = spectral._power_sum_witness
+    monkeypatch.setattr(
+        spectral, "_power_sum_witness", lambda g1, g2, *walks: ladder_witness(g1, g2, *walks) if walks else None
+    )
     assert [discriminate_pair(g1, g2, c).to_json() for g1, g2 in pairs for c in configs] == reports
 
 
