@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .graphs import Graph, TooLargeError, _check_int, _check_positive, _is_sparse
+from .graphs import Graph, TooLargeError, _check_int, _check_positive, _dense, _is_sparse
 
 if TYPE_CHECKING:  # pragma: no cover
     from .spectral import Spectrum
@@ -288,62 +288,70 @@ def diag_powers(g: Graph, depth: int = 10) -> np.ndarray:
     for any a + b = k. Both plans share one chain: from a power P = S^(j-1),
     each step forms Q = S^j = S P and reads diag(S^(2j-1)) and diag(S^(2j))
     as row dots of P Q and Q Q, then drops P. The plans, chosen from the
-    graph's edge count by graphs._is_sparse, differ only in how the chain
-    starts and in the product by S:
+    graph's edge count by graphs._is_sparse, both read column 2, the
+    degrees, off the edge index, and differ only in how the chain starts
+    and in the product by S:
 
-    - dense, nnz * 40 > n^2: float64 BLAS on the adjacency. Column 2 is the
-      row dots of S S. From depth 4, S^2 = S S^T is formed and, from depth
-      6, S^4 = S^2 (S^2)^T; both are squarings, which numpy dispatches to
-      the symmetric rank-k update (syrk): half the 2 n^3 flops of a general
-      product (gemm). From depth 8, S^5 = S^4 S is formed whole, and the
-      chain starts from it with S^j = S^(j-1) S; depth 10 costs 2 syrk and
-      1 gemm, 4 n^3 flops. This plan holds the bytes of at most two n x n
-      float64 powers besides S below depth 8, and of three (S^2, S^4, S^5)
-      from there.
-    - sparse, nnz * 40 <= n^2: from the edge index alone; the n x n
-      adjacency is never built. Column 2 is the degrees. S^2 is counted from
-      the wedges i - k - j (sum of squared degrees additions), column 3 is
-      S^2 summed over each node's edges, and the chain starts from S^2. Its
-      product is a gather: row i of S P is the sum of P's rows at i's
-      neighbours, m n additions for m = nnz. Nodes are sorted by degree in
-      chunks of 32 rows and the sums run one neighbour slot at a time over
-      a prefix of each chunk. At depth 6 no chain runs: column 5 is read
-      from S^2 alone by one dot per edge (`_edge_dots`), m n / 2 products
-      where S^3 costs m n additions and the row dots n^2 more, and the plan
-      holds one n x n float32 power. From depth 7 the chain forms S^3 for
-      diag(S^6) anyway, and column 5 costs n^2 more by row dots. This plan
-      holds no more than the bytes of two n x n float64 powers besides S at
-      any depth.
+    - dense, nnz * 40 > n^2: BLAS on S, built per call from the edge index
+      as a float32 0/1 matrix and never cached; the graph's float64
+      adjacency is not read. S^2 = S S^T is a squaring, which numpy
+      dispatches to the symmetric rank-k update (syrk): half the 2 n^3
+      flops of a general product (gemm). Below depth 8 the chain starts
+      from S^2, so depths 6 and 7 cost 1 syrk and 1 gemm. From depth 8,
+      S^4 = S^2 (S^2)^T by syrk and S^5 = S^4 S are formed whole, and the
+      chain starts from S^5; depth 10 costs 2 syrk and 1 gemm, 4 n^3
+      flops. This plan holds S, S^2 and S^3 below depth 8, and S, S^2, S^4
+      and S^5 from there: at most the bytes of four n x n float64 arrays,
+      and of one and a half while every power is float32.
+    - sparse, nnz * 40 <= n^2: from the edge index alone; no n x n
+      adjacency is built. S^2 is counted from the wedges i - k - j (sum of
+      squared degrees additions), column 3 is S^2 summed over each node's
+      edges, and the chain starts from S^2. Its product is a gather: row i
+      of S P is the sum of P's rows at i's neighbours, m n additions for
+      m = nnz. Nodes are sorted by degree in chunks of 32 rows and the sums
+      run one neighbour slot at a time over a prefix of each chunk. At
+      depth 6 no chain runs: column 5 is read from S^2 alone by one dot per
+      edge (`_edge_dots`), m n / 2 products where S^3 costs m n additions
+      and the row dots n^2 more, and the plan holds one n x n float32
+      power. From depth 7 the chain forms S^3 for diag(S^6) anyway, and
+      column 5 costs n^2 more by row dots. This plan holds no more than the
+      bytes of two n x n float64 powers at any depth.
 
     Precision, with Delta the maximum degree (`_exact_columns`): every entry
-    of S^j, and every gather sum or row dot behind it, is a nonnegative
-    integer at most Delta^(j-1). The dense plan runs in float64 throughout.
-    In the sparse plan:
+    of S^j, and every gather sum, BLAS partial sum or row dot behind it, is
+    a nonnegative integer at most Delta^(j-1). Both plans follow one rule:
 
     - S^2 (entries at most Delta < 2^24) and every S^j with
       Delta^(j-1) < 2^24 are float32, summed in float32, and exact; from
-      the first j past that bound the chain is float64.
+      the first j past that bound the chain is float64. The dense plan
+      widens S once for it, and S^2 before squaring it when S^4 is past
+      the bound.
     - The row dot giving diag(S^k), or the edge dots giving diag(S^5) at
       depth 6, run in float32 only while both operands are float32 and
       Delta^(k-1) < 2^24. Otherwise they run in float64, on rows of float32
       operands widened a cache-sized block at a time.
 
-    The gathers are bound by memory traffic, so a float32 power halves its
-    bytes and cuts the product's time to 0.5x-0.65x (n = 1000 to 2000). No
-    inexact float32 value is ever formed, and the result is float64 either
-    way: the same bits as an all-float64 chain.
+    A float32 power halves its bytes. The gathers are bound by memory
+    traffic, which cuts the product's time to 0.5x-0.65x (n = 1000 to
+    2000), and BLAS runs float32 at about twice the float64 rate (ssyrk
+    2.4 ms against dsyrk 5.0 ms at n = 600, one thread). No inexact float32
+    value is ever formed, and the result is float64 either way: the same
+    bits as an all-float64 chain, as every float64 product and row dot is
+    the one that chain forms, on the same values.
 
-    The 40 sits near the measured depth-10 crossover. At depth 6, where the
-    sparse plan forms no S^3, it stays the faster well past it. Sparse /
-    dense time of diag_powers on G(n, d/n), depth 6 / depth 10, one BLAS
-    thread, slot table included where built, min of 11 (5 at n = 2000),
-    on a shared 2-vCPU machine:
+    At n >= 1000 the 40 sits near the measured depth-10 crossover. Below
+    that the float32 dense plan wins depth 10 from sparser graphs, about
+    d = n/64 at n = 500 and n/100 at n = 300. At depth 6, where the sparse
+    plan forms no S^3, the sparse plan stays the faster past the 40, to
+    about d = n/32. Sparse / dense time of diag_powers on G(n, d/n), depth
+    6 / depth 10, one BLAS thread, slot table and float32 S included where
+    built, the plans interleaved, min of 11, on a shared 2-vCPU machine:
 
         n      d = n/100   n/64        n/45        n/40        n/32        n/24
-        300    0.21/0.51   0.27/0.75   0.35/0.96   0.33/0.98   0.52/1.57   0.68/1.54
-        500    0.18/0.50   0.23/0.59   0.24/0.57   0.53/0.68   0.37/0.93   0.48/1.27
-        1000   0.15/0.32   0.21/0.41   0.26/0.59   0.33/0.73   0.40/0.80   0.60/1.02
-        2000   0.13/0.26   0.19/0.50   0.50/0.70   0.64/0.77   1.00/0.94   1.29/1.14
+        300    0.54/1.00   0.59/1.19   0.68/1.55   0.68/1.55   0.79/1.68   1.28/2.17
+        500    0.26/0.83   0.34/1.02   0.44/1.23   0.50/1.34   0.62/1.42   0.82/1.66
+        1000   0.17/0.53   0.23/0.69   0.33/0.91   0.38/0.91   0.48/1.16   1.16/1.45
+        2000   0.16/0.51   0.25/0.63   0.70/0.90   0.87/0.97   1.01/1.19   1.46/1.50
     """
     depth = _check_int(depth, "depth", 1)
     n = g.n
@@ -366,14 +374,15 @@ def diag_powers(g: Graph, depth: int = 10) -> np.ndarray:
 
     if depth <= 2:
         return out
+    indptr, indices = g.edge_index
+    deg = np.diff(indptr)
+    out[:, 2] = deg
+    if depth <= 3:
+        return out
+    exact = _exact_columns(depth, int(deg.max(initial=0)), 2**24)  # float32's bound
+    first = 3  # the chain starts from p = S^2
     if _is_sparse(g):  # sparse start
-        indptr, indices = g.edge_index
-        deg = np.diff(indptr)
-        out[:, 2] = deg
-        if depth <= 3:
-            return out
-        exact = _exact_columns(depth, int(deg.max(initial=0)), 2**24)  # float32's bound
-        p, first = _wedge_square(g), 3  # S^2
+        p = _wedge_square(g)
         owner = np.repeat(np.arange(n), deg)
         out[:, 3] = np.bincount(owner, p[owner, indices], n)  # S^2 summed over each node's edges
         dots(4, p, p)
@@ -386,27 +395,25 @@ def diag_powers(g: Graph, depth: int = 10) -> np.ndarray:
             return _gather_product(slots, p, np.float32 if j < exact else np.float64)
 
     else:  # dense start
-        s, exact = g.adjacency, 0  # float64 throughout
-        dots(2, s, s)
-        if depth <= 3:
-            return out
-        p, first = s @ s.T, 6  # S^2 by syrk; the chain starts past S^5
-        dots(3, s, p)
-        dots(4, p, p)
-        if depth > 5:
-            s4 = p @ p.T  # syrk
-            dots(5, s, s4)
-            dots(6, p, s4)
-            dots(8, s4, s4)
-            if depth > 7:
-                q = s4 @ s  # S^5
-                dots(7, p, q)
-                dots(9, s4, q)
-                dots(10, q, q)
-                p = q
+        s = _dense(g, np.float32)
 
         def times_s(p: np.ndarray, j: int) -> np.ndarray:
-            return p @ s
+            nonlocal s
+            if j >= exact:  # S widened once
+                s = s.astype(np.float64, copy=False)
+            return p.astype(s.dtype, copy=False) @ s  # sgemm or dgemm
+
+        p = s @ s.T  # S^2 by ssyrk
+        dots(3, s, p)
+        dots(4, p, p)
+        if depth > 7:  # S^4 by squaring, then S^5: the chain starts from S^5
+            p = p.astype(np.float32 if 4 < exact else np.float64, copy=False)  # S^2, as wide as S^4
+            s4 = p @ p.T  # ssyrk or dsyrk
+            q = times_s(s4, 5)
+            for k, a, b in ((5, s, s4), (6, p, s4), (7, p, q), (8, s4, s4), (9, s4, q), (10, q, q)):
+                dots(k, a, b)
+            del s4  # the chain holds S, P and Q alone: never more than four n x n arrays
+            p, first = q, 6
 
     for j in range(first, depth // 2 + 1):
         q = times_s(p, j)  # S^j

@@ -76,12 +76,20 @@ class ParseError(GraphError):
 
 
 #: sparse: nnz * _SPARSE_DENSITY <= n^2 (mean degree <= n / 40). gnn.diag_powers then
-#: gathers and wl._verified_map compares edge codes, and neither builds the adjacency
+#: gathers, and otherwise runs float32 BLAS on a per-call S from the edge index
 _SPARSE_DENSITY = 40
 
 
 def _is_sparse(g) -> bool:  # g: anything with n and num_edges
     return 2 * g.num_edges * _SPARSE_DENSITY <= g.n**2
+
+
+def _dense(g, dtype) -> np.ndarray:  # g: anything with n and edge_index
+    """A new n x n 0/1 adjacency of dtype, built from g's edge index."""
+    indptr, indices = g.edge_index
+    a = np.zeros(g.n * g.n, dtype)
+    a[np.repeat(np.arange(0, g.n * g.n, g.n), np.diff(indptr)) + indices] = 1  # row-major codes
+    return a.reshape(g.n, g.n)
 
 
 def _first_edge_error(n: int, edges) -> GraphError | None:
@@ -162,10 +170,9 @@ class Graph:
     @cached_property
     def adjacency(self) -> np.ndarray:
         """Dense read-only float64 0/1 adjacency, built from the edge index on first
-        use and cached: only dense readers (an eigensolver, a BLAS product) ask."""
-        indptr, indices = self.edge_index
-        a = np.zeros((self.n, self.n))
-        a[np.repeat(np.arange(self.n), np.diff(indptr)), indices] = 1.0
+        use and cached. Only the eigensolvers, graph_filter and gnn_layer (and so
+        stochastic_variance), and is_isomorphic_bruteforce ask."""
+        a = _dense(self, np.float64)
         a.flags.writeable = False
         return a
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import Graph, _check_int, _is_sparse
+from .graphs import Graph, _check_int
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,10 +118,9 @@ def _verified_map(g1: Graph, g2: Graph, colorings) -> np.ndarray | None:
     lands on an edge of g2. A bijection that maps the edges of g1 into an
     equally large edge set of g2 is an isomorphism. When the graphs are
     isomorphic and every class is a single node, the candidate is the one
-    isomorphism, so it passes. On a dense g2 the check reads m adjacency
-    entries. A sparse g2 (graphs._is_sparse) holds no adjacency, so the
-    sorted codes row n + column of the mapped edges are compared with g2's,
-    which its row-major index lists in order.
+    isomorphism, so it passes. The sorted codes row n + column of the
+    mapped edges are compared with g2's, which its row-major index lists in
+    order: no dense adjacency is read or built.
     """
     n = g1.n
     order1 = np.argsort(colorings[0], kind="stable")
@@ -132,8 +131,6 @@ def _verified_map(g1: Graph, g2: Graph, colorings) -> np.ndarray | None:
     if len(indices1) != len(indices2):
         return None
     rows = np.repeat(mapping, np.diff(indptr1))  # image of each edge's first node
-    if not _is_sparse(g2):
-        return mapping if np.all(g2.adjacency[rows, mapping[indices1]] == 1.0) else None
     codes = np.sort(rows * n + mapping[indices1])
     codes2 = np.repeat(np.arange(n) * n, np.diff(indptr2)) + indices2  # sorted, as g2's index is
     return mapping if np.array_equal(codes, codes2) else None

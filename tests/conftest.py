@@ -1,4 +1,5 @@
 import bisect
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -43,6 +44,15 @@ def count_calls(monkeypatch):
         return calls
 
     return install
+
+
+def traced_peak(fn):
+    """fn() and the peak bytes that tracemalloc traced while it ran."""
+    tracemalloc.start()
+    try:
+        return fn(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def random_graph_pairs(count, n_max=8, p=0.35, seed=0):

@@ -1,5 +1,4 @@
 import json
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -52,6 +51,7 @@ from conftest import (
     loop_group_indices,
     loop_unmatched_groups,
     random_graph_pairs,
+    traced_peak,
     tuple_rows_isomorphic,
 )
 
@@ -784,14 +784,29 @@ def test_sparse_pairs_hold_no_dense_matrix():
     g1, g2 = (Graph(n, edges=_sparse_edge_array(n, rng)) for _ in range(2))
     pairs.append((g1, g2, "separable"))
     for g1, g2, overall in pairs:
-        tracemalloc.start()
-        try:
-            report = discriminate_pair(g1, g2)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        report, peak = traced_peak(lambda: discriminate_pair(g1, g2))
         assert report.overall == overall
         # the ladder's float32 S^2, its result and a few cache-sized blocks:
         # no n x n float64 array, and no dense adjacency on any graph
         assert peak <= 4 * n**2 + 8 * 6 * n + 3 * 8 * gnn._CHUNK_VALUES
+        assert "adjacency" not in vars(g1) and "adjacency" not in vars(g2)
+
+
+def test_dense_pairs_hold_no_float64_matrix():
+    n = 600
+    rng = np.random.default_rng(103)
+    g = erdos_renyi(n, 0.5, rng)
+    nnz = len(g.edge_index[1])
+    ladder = 4 * 3 * n**2 + 8 * 6 * n + 3 * 8 * gnn._CHUNK_VALUES
+    pairs = [(g, apply_permutation(g, Permutation.random(n, rng)), "inconclusive", 8 * 7 * nnz),
+             (g, erdos_renyi(n, 0.5, rng), "separable", 0)]
+    for g1, g2, overall, certificate in pairs:
+        report, peak = traced_peak(lambda: discriminate_pair(g1, g2))
+        assert report.overall == overall
+        # the ladder's S, S^2 and S^3 as float32, its result and three
+        # cache-sized blocks. On the certified pair 1-WL comes first, and at
+        # p = 1/2 its int64 arrays over the edge index hold more: owner and
+        # neighbour over both graphs, and three arrays of the map check's
+        # edge codes. No n x n float64 array, and no adjacency on any graph
+        assert peak <= max(ladder, certificate + 3 * 8 * gnn._CHUNK_VALUES)
         assert "adjacency" not in vars(g1) and "adjacency" not in vars(g2)

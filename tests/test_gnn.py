@@ -1,4 +1,3 @@
-import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -38,7 +37,7 @@ from spectrawl.discriminate import PAIR_FILTER, csl_base_graph
 from spectrawl.gnn import DimensionMismatchError
 from spectrawl.graphs import TooLargeError
 
-from conftest import half_power_diag_powers, random_graph_pairs
+from conftest import half_power_diag_powers, random_graph_pairs, traced_peak
 
 
 def test_nonlinearities():
@@ -206,7 +205,7 @@ def test_diag_powers_half_power_ladder_past_2_53():
 
 
 class _LoggedPower(np.ndarray):
-    """An adjacency matrix that logs each matrix product formed from it, and from its products."""
+    """A matrix that logs each matrix product formed from it, and from its products."""
 
     def __matmul__(self, other):
         out = super().__matmul__(other)
@@ -220,39 +219,59 @@ class _LoggedPower(np.ndarray):
         self.log = getattr(obj, "log", None)
 
 
-def _logged_ladder(g, depth):
+def _log_products(monkeypatch) -> list:
+    """Make the S that the dense plan builds per call a _LoggedPower; returns its log."""
+    log = []
+
+    def dense(g, dtype):
+        s = graphs._dense(g, dtype).view(_LoggedPower)
+        s.log = log
+        return s
+
+    monkeypatch.setattr(gnn, "_dense", dense)
+    return log
+
+
+def _bare(g):
+    """An object with g's n, num_edges and edge_index, and no adjacency."""
+    return SimpleNamespace(n=g.n, num_edges=g.num_edges, edge_index=g.edge_index)
+
+
+def _logged_ladder(monkeypatch, g, depth):
     """diag_powers(g, depth) and its products as (exponent, squaring, rows)."""
-    s = g.adjacency.view(_LoggedPower)
-    s.log = []
-    x = diag_powers(SimpleNamespace(n=g.n, adjacency=s, num_edges=g.num_edges), depth)
+    log = _log_products(monkeypatch)
+    x = diag_powers(_bare(g), depth)
     powers = [np.linalg.matrix_power(g.adjacency, k) for k in range(depth)]
 
     def exponent(p):
         return next(k for k in range(depth) if np.array_equal(p, powers[k][: len(p)]))
 
-    return x, [(exponent(p), squaring, len(p)) for p, squaring in s.log]
+    return x, [(exponent(p), squaring, len(p)) for p, squaring in log]
 
 
-def test_diag_powers_forms_squares_then_a_chain():
+def test_diag_powers_forms_squares_then_a_chain(monkeypatch):
     g = erdos_renyi(40, 0.1, np.random.default_rng(3))
-    plans = {d: sorted({(e, sq) for e, sq, _ in _logged_ladder(g, d)[1]}) for d in (3, 5, 6, 10, 13)}
-    # (exponent, formed by squaring)
+    plans = {}
+    for d in (3, 5, 6, 7, 10, 13):
+        plans[d] = sorted({(e, sq) for e, sq, _ in _logged_ladder(monkeypatch, g, d)[1]})
+    # (exponent, formed by squaring): below depth 8 the chain runs from S^2
     assert plans == {
         3: [],
         5: [(2, True)],
-        6: [(2, True), (4, True)],
+        6: [(2, True), (3, False)],
+        7: [(2, True), (3, False)],
         10: [(2, True), (4, True), (5, False)],
         13: [(2, True), (4, True), (5, False), (6, False)],
     }
 
 
-def test_diag_powers_covers_every_depth_at_no_more_cost():
+def test_diag_powers_covers_every_depth_at_no_more_cost(monkeypatch):
     # two disjoint cycles: walk counts stay below 2^41, so every entry is exact
     cycles = [(i, (i + 1) % 5) for i in range(5)] + [(5 + i, 5 + (i + 1) % 7) for i in range(7)]
     g = from_edge_list(12, cycles)
     ref = _sequential_diag_powers(g, 41)
     for depth in range(1, 42):
-        x, log = _logged_ladder(g, depth)
+        x, log = _logged_ladder(monkeypatch, g, depth)
         np.testing.assert_array_equal(x, ref[:, :depth])
         # n^3 units: syrk 1, general product 2; a ladder of one general
         # product per power forms S^2..S^h with h = ceil((depth - 1) / 2)
@@ -263,12 +282,7 @@ def test_diag_powers_covers_every_depth_at_no_more_cost():
 @pytest.mark.parametrize("depth", [6, 10, 16])
 def test_diag_powers_holds_two_powers_besides_s(depth):
     g = erdos_renyi(600, 8 / 600, np.random.default_rng(5))
-    tracemalloc.start()
-    try:
-        x = diag_powers(g, depth)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    x, peak = traced_peak(lambda: diag_powers(g, depth))
     np.testing.assert_array_equal(x, half_power_diag_powers(g, depth))
     # two n x n powers, the result, and 256 rows of n for the blocks of
     # float32 rows widened to float64 (two blocks of _CHUNK_VALUES values)
@@ -278,17 +292,32 @@ def test_diag_powers_holds_two_powers_besides_s(depth):
 @pytest.mark.parametrize("depth", [5, 7, 8, 10, 16])
 def test_diag_powers_dense_plan_holds_three_powers_from_depth_8(depth):
     g = _circulant_1_to_4()
-    g.adjacency  # S: built once and cached with the graph, not counted here
-    tracemalloc.start()
-    try:
-        x = diag_powers(g, depth)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    x, peak = traced_peak(lambda: diag_powers(g, depth))
+    assert "adjacency" not in vars(g)  # S is built per call, and counted here
     np.testing.assert_array_equal(x, half_power_diag_powers(g, depth))
-    # S^2 and S^4 below depth 8; S^2, S^4 and S^5 at once from there; and the result
-    powers = 3 if depth >= 8 else 2
-    assert peak <= 8 * (powers * g.n**2 + depth * g.n) + 65536
+    if depth >= 8:
+        # S, S^2, S^4 and S^5 at once, the result and any widened blocks: no
+        # more than the float64 S and three float64 powers held before
+        assert peak <= 8 * (4 * g.n**2 + depth * g.n) + 65536
+    else:
+        # S, S^2 and S^3 as float32, and the result
+        assert peak <= 4 * 3 * g.n**2 + 8 * depth * g.n + 65536
+
+
+@pytest.mark.parametrize("n", [256, 257])
+def test_diag_powers_straddle_the_float32_bound_on_complete_graphs(n):
+    # Delta = n - 1 = 255, 256 straddle Delta^3 < 2^24: there column 4's row
+    # dot leaves float32 and, from depth 8, so does S^4
+    g = from_edge_list(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+    assert gnn._exact_columns(16, n - 1, 2**24) == (5 if n == 256 else 4)
+    ref = half_power_diag_powers(g, 16)
+    for depth in range(1, 17):
+        x = diag_powers(g, depth)
+        np.testing.assert_array_equal(x, ref[:, :depth])
+        for k in range(depth):
+            walks = ((n - 1) ** k + (n - 1) * (-1) ** k) // n  # closed k-walks at a node of K_n
+            if walks < 2**53:
+                assert np.all(x[:, k] == walks), (depth, k)
 
 
 @pytest.mark.parametrize("depth", [2.5, True, "3", None])
@@ -340,12 +369,7 @@ def _star_plus_path(n=600):
 def test_wedge_square_and_depth_6_hold_one_float32_power(g):
     g.edge_index  # cached with the graph, not counted here
     for build in (gnn._wedge_square, lambda g: diag_powers(g, 6)):
-        tracemalloc.start()
-        try:
-            build(g)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(lambda: build(g))
         # S^2 as float32, the depth-6 result, and three blocks of
         # _CHUNK_VALUES float64 values: one block's counts and wedge lists,
         # or a block of edge rows from each end, as float32 and widened
@@ -398,30 +422,30 @@ def test_gather_chain_switches_to_float64_past_2_24(monkeypatch, count_calls):
 def test_diag_powers_sparse_plan_never_reads_adjacency(monkeypatch):
     monkeypatch.setattr(graphs, "_SPARSE_DENSITY", 0)  # every graph takes the gather plan
     for g in _gather_cases():
-        bare = SimpleNamespace(n=g.n, edge_index=g.edge_index, num_edges=g.num_edges)
         for depth in range(1, 17):
-            np.testing.assert_array_equal(diag_powers(bare, depth), diag_powers(g, depth))
+            np.testing.assert_array_equal(diag_powers(_bare(g), depth), diag_powers(g, depth))
 
 
-def _blas_products(g, depth, **extra):
-    """(formed by squaring, rows) of each BLAS product diag_powers forms, on an object with n, num_edges and adjacency."""
-    s = g.adjacency.view(_LoggedPower)
-    s.log = []
-    x = diag_powers(SimpleNamespace(n=g.n, adjacency=s, num_edges=g.num_edges, **extra), depth)
+def _blas_products(monkeypatch, g, depth):
+    """(formed by squaring, rows) of each BLAS product diag_powers forms, on an object with no adjacency."""
+    log = _log_products(monkeypatch)
+    x = diag_powers(_bare(g), depth)
+    products = [(squaring, len(p)) for p, squaring in log]
     np.testing.assert_array_equal(x, diag_powers(g, depth))
-    return [(squaring, len(p)) for p, squaring in s.log]
+    return products
 
 
-def test_diag_powers_plan_follows_density():
+def test_diag_powers_plan_follows_density(monkeypatch):
     sparse = erdos_renyi(600, 8 / 600, np.random.default_rng(5))  # as in the memory test
     # the sparse plan counts S^2 from wedges and forms every other power by gathers
     for depth in (10, 16):
-        assert _blas_products(sparse, depth, edge_index=sparse.edge_index) == []
+        assert _blas_products(monkeypatch, sparse, depth) == []
     for dense in (erdos_renyi(200, 0.5, np.random.default_rng(71)), csl_base_graph(41, 5)):
         n = dense.n
-        # no edge_index on the object: the dense plan never reads one
-        assert _blas_products(dense, 10) == [(True, n), (True, n), (False, n)]
-        assert _blas_products(dense, 13) == [(True, n), (True, n), (False, n), (False, n)]
+        # no adjacency on the object: the dense plan builds its S from the edge index
+        assert _blas_products(monkeypatch, dense, 6) == [(True, n), (False, n)]
+        assert _blas_products(monkeypatch, dense, 10) == [(True, n), (True, n), (False, n)]
+        assert _blas_products(monkeypatch, dense, 13) == [(True, n), (True, n), (False, n), (False, n)]
 
 
 def test_sparse_plan_builds_no_adjacency():
@@ -645,12 +669,7 @@ def test_stochastic_variance_reuses_its_blocks(distribution):
     peaks = {}
     for samples in (64, 10**4, 10**5):  # the first call warms up lazy imports
         cfg = StochasticConfig(samples=samples, seed=1, distribution=distribution)
-        tracemalloc.start()
-        try:
-            stochastic_variance(g, PAIR_FILTER, cfg)
-            peaks[samples] = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peaks[samples] = traced_peak(lambda: stochastic_variance(g, PAIR_FILTER, cfg))[1]
     assert abs(peaks[10**5] - peaks[10**4]) <= block
     # the input and output blocks, an eighth of a block of sign bits, and H
     # with its Horner temporaries
