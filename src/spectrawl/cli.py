@@ -5,8 +5,9 @@ edge-list format or as built-in names (prism, k33, bihexagon, bipentagon,
 csl:R). Each cmd_* returns its output lines and exit code, and main writes
 the lines to --out or stdout. Exit codes: 0 success, 1 failed check or
 unseparated pair, 2 usage or I/O error, a graph too large for memory
-(MemoryError), or an eigensolver failure (spectral.ConvergenceFailure); the
-last two say nothing about the pair.
+(MemoryError, or OverflowError for a node count past int64), or an
+eigensolver failure (spectral.ConvergenceFailure); the last two say nothing
+about the pair.
 """
 
 from __future__ import annotations
@@ -262,7 +263,9 @@ def main(argv=None) -> int:
         # commands without --out ignore a config "out" too
         _emit("\n".join(lines), (args.out or cfg.get("out")) if "out" in args else None)
         return code
-    except (GraphError, OSError, json.JSONDecodeError, ValueError, MemoryError, spectral.ConvergenceFailure) as exc:
+    except (
+        GraphError, OSError, json.JSONDecodeError, ValueError, MemoryError, OverflowError, spectral.ConvergenceFailure
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,9 +1,11 @@
 """Pair discrimination pipeline, CSL benchmark, and report serialization.
 
 `discriminate_pair` runs the three mechanisms side by side on a graph pair:
-color refinement, grouped-spectrum comparison, and the closed-walk module
-with a fixed filter. The CSL half generates the 150-graph circulant benchmark
-and classifies it with a single untrained closed-walk score per graph.
+color refinement, the spectrum (compared by exact power sums first, with the
+grouped-spectrum comparison as the fallback where they tie), and the
+closed-walk module with a fixed filter. The CSL half generates the 150-graph
+circulant benchmark and classifies it with a single untrained closed-walk
+score per graph.
 """
 
 from __future__ import annotations
@@ -146,15 +148,16 @@ def discriminate_pair(g1: Graph, g2: Graph, config: PairConfig = PairConfig()) -
     column k's sums differ, which proves condition 1 without comparing rows,
     and the ladders stop at max(len(filter), k + 1) columns.
 
-    The WL verdict comes from wl._certify, the joint 1-WL refinement that
-    wl_distinguish also runs, with a candidate map checked edge for edge
-    (wl._verified_map) once per pair, where the colorings tie. Its rounds
-    rank exact integer sums of color weights, with an exact 1-WL round
-    wherever the sums split no class. A map that passes proves the pair
-    isomorphic, and every verdict follows from that: only g1's walk counts
-    are built (to depth len(filter)), g2's are g1's rows moved by the map,
-    and no eigenvalue is computed. Pairs it does not certify, such as
-    vertex-transitive ones, take the full path.
+    The WL verdict comes from wl._certify, the 1-WL refinement of the
+    pair's disjoint union that wl_distinguish also runs, with a candidate
+    map checked edge for edge (wl._verified_map) once per pair, where the
+    colorings tie. Its rounds rank exact integer sums of color weights, with
+    an exact 1-WL round wherever the sums split no class. A map that passes
+    proves the pair isomorphic, and every verdict follows from that: only
+    g1's walk counts and readout are built (to depth len(filter)), g2's
+    readout is g1's rows moved by the map, and no eigenvalue is computed.
+    Pairs it does not certify, such as vertex-transitive ones, take the full
+    path.
     """
     colorings, mapping = wl._certify(g1, g2)
     wl_verdict = "distinguished" if colorings is None else "indistinguishable"
@@ -162,11 +165,12 @@ def discriminate_pair(g1: Graph, g2: Graph, config: PairConfig = PairConfig()) -
     conditions = None
     if mapping is not None:
         # a proven isomorphism: equal spectra, walk rows equal up to the map,
-        # no condition can hold, so one ladder serves both graphs. Node
-        # mapping[v] of g2 takes v's row: g2's rows are x1 at the inverse map
+        # no condition can hold, so one ladder and one readout serve both
+        # graphs. Node mapping[v] of g2 takes v's row: g2's rows are y1 at the
+        # inverse map
         x1 = gnn.diag_powers(g1, len(config.filter))
         y1 = gnn._walk_readout(x1, config.filter, config.sigma)
-        y2 = gnn._walk_readout(x1[np.argsort(mapping)], config.filter, config.sigma)
+        y2 = y1[np.argsort(mapping)]
         witness, spectral_verdict, diag_verdict = None, "inconclusive", "inconclusive"
         if config.check_conditions:
             conditions = spectral.ConditionReport(False, None, None, "inconclusive")

@@ -394,10 +394,11 @@ def load_graph(path) -> Graph:
 
     Format: '#' lines are comments; the first non-comment line is N; each
     following non-comment line is "u v" with 0 <= u < v < N. Duplicate and
-    self-loop lines are errors, reported with their line number.
+    self-loop lines are errors, reported with their line number. The edges
+    are collected as pairs, so no n x n matrix is built.
     """
     n = None
-    a = None
+    edges = set()
     with open(path) as fh:
         for line_no, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -412,7 +413,6 @@ def load_graph(path) -> Graph:
                 if len(vals) != 1 or vals[0] <= 0:
                     raise ParseError(line_no, f"expected positive node count, got {line!r}")
                 n = vals[0]
-                a = np.zeros((n, n))
                 continue
             if len(vals) != 2:
                 raise ParseError(line_no, f"expected 'u v', got {line!r}")
@@ -421,10 +421,10 @@ def load_graph(path) -> Graph:
                 raise ParseError(line_no, f"self-loop on node {u}")
             if not (0 <= u < v < n):
                 raise ParseError(line_no, f"edge ({u}, {v}) violates 0 <= u < v < {n}")
-            if a[u, v] != 0.0:
+            if (u, v) in edges:
                 raise ParseError(line_no, f"duplicate edge ({u}, {v})")
-            a[u, v] = a[v, u] = 1.0
+            edges.add((u, v))
     if n is None:
         raise ParseError(0, "empty file: missing node count")
     stem = os.path.splitext(os.path.basename(str(path)))[0]
-    return Graph(n, a, name=stem)
+    return Graph(n, edges=np.array(list(edges), dtype=np.int64).reshape(-1, 2), name=stem)

@@ -2,8 +2,9 @@
 
 Relabeling ranks exact (old color, sorted neighbor color multiset) keys
 rather than hash digests, so there are no collision false-negatives. Labels
-are assigned canonically (sorted key order), which makes colorings comparable
-across graphs refined in one joint step. The joint refinement of a pair
+are assigned canonically (sorted key order). Graphs are refined jointly by
+refining their disjoint union, one coloring over one neighbor list, so their
+colorings share one set of names. The refinement of a pair's disjoint union
 (`_certify`, behind `wl_distinguish`) mostly ranks integer sums of hashed
 color weights instead. Its partition is never finer than 1-WL's, and a sum
 round that splits no class is followed by an exact round, so a collision
@@ -46,29 +47,24 @@ def _initial_colors(g: Graph, init: str) -> np.ndarray:
     raise ValueError(f"unknown init {init!r}; use 'uniform' or 'degree'")
 
 
-def _refine_step(colorings: list[np.ndarray], neighbor_lists: list[np.ndarray]):
-    """One joint refinement round over any number of graphs.
+def _refine_step(colors: np.ndarray, nbrs: np.ndarray):
+    """One refinement round of one coloring over its padded neighbor list.
 
-    Each node's key row is its color, then its sorted neighbor colors padded
-    with -1 to a common width. Padding after the colors sorts a shorter
-    multiset first, as Python orders tuples, so ranking the distinct rows
-    gives the canonical labels of the (color, sorted neighbor colors) keys.
-    Returns the new colorings (dense labels shared across graphs) and whether
-    any partition changed.
+    The disjoint union of any number of graphs is one more coloring and list,
+    so refining the union refines them jointly. Each node's key row is its
+    color, then its sorted neighbor colors padded with -1. Padding after the
+    colors sorts a shorter multiset first, as Python orders tuples, so
+    ranking the distinct rows gives the canonical labels of the (color,
+    sorted neighbor colors) keys. Returns the new coloring (dense labels) and
+    whether the partition changed.
     """
-    width = max(nbrs.shape[1] for nbrs in neighbor_lists)
-    # one key array, filled in place: fewer large temporaries to fault in
-    keys = np.full((sum(len(c) for c in colorings), 1 + width), -1, dtype=np.int64)
-    start = 0
-    for colors, nbrs in zip(colorings, neighbor_lists):
-        row = keys[start : start + len(colors)]
-        start += len(colors)
-        row[:, 0] = colors
-        # index -1 reads the appended sentinel, which sorts after every color
-        nbr_colors = np.append(colors, np.iinfo(np.int64).max)[nbrs]
-        nbr_colors.sort(axis=1)
-        nbr_colors[nbrs < 0] = -1
-        row[:, 1 : 1 + nbrs.shape[1]] = nbr_colors
+    # one key array, filled in place: fewer large temporaries alive at once
+    keys = np.empty((len(colors), 1 + nbrs.shape[1]), dtype=np.int64)
+    keys[:, 0] = colors
+    # index -1 reads the appended sentinel, which sorts after every color
+    keys[:, 1:] = np.append(colors, np.iinfo(np.int64).max)[nbrs]
+    keys[:, 1:].sort(axis=1)
+    keys[:, 1:][nbrs < 0] = -1
     order = np.lexsort(keys.T[::-1])
     ranked = keys[order]
     starts = np.ones(len(keys), dtype=bool)
@@ -78,14 +74,16 @@ def _refine_step(colorings: list[np.ndarray], neighbor_lists: list[np.ndarray]):
     # new colors are functions of old colors, so partitions only refine; a
     # round changes something iff a new label starts inside an old color
     changed = bool(np.any(starts[1:] & (ranked[1:, 0] == ranked[:-1, 0])))
-    return np.split(labels, np.cumsum([len(c) for c in colorings])[:-1]), changed
+    return labels, changed
 
 
-def _neighbor_lists(g: Graph) -> np.ndarray:
-    """n x (max degree) neighbor indices, each row left-packed and padded with -1."""
-    indptr, indices = g.edge_index
-    deg = np.diff(indptr)
-    out = np.full((g.n, deg.max(initial=0)), -1, dtype=np.int64)
+def _neighbor_lists(deg: np.ndarray, indices: np.ndarray) -> np.ndarray:
+    """len(deg) x (max degree) neighbor indices, each row left-packed and padded with -1.
+
+    deg and indices are the row degrees and column indices of a CSR index:
+    of one graph, or of the disjoint union of several.
+    """
+    out = np.full((len(deg), deg.max(initial=0)), -1, dtype=np.int64)
     # a row-major mask fill keeps the CSR order: row v takes its deg[v] indices
     out[np.arange(out.shape[1]) < deg[:, None]] = indices
     return out
@@ -93,12 +91,13 @@ def _neighbor_lists(g: Graph) -> np.ndarray:
 
 def wl_refine(g: Graph, init: str = "uniform") -> WLColoring:
     """Run color refinement to stability on a single graph."""
-    nbrs = _neighbor_lists(g)
+    indptr, indices = g.edge_index
+    nbrs = _neighbor_lists(np.diff(indptr), indices)
     colors = _initial_colors(g, init)
     history = [tuple(colors.tolist())]
     stable_at = g.n
     for step in range(1, g.n + 1):
-        (colors,), changed = _refine_step([colors], [nbrs])
+        colors, changed = _refine_step(colors, nbrs)
         history.append(tuple(colors.tolist()))
         if not changed:
             stable_at = step
@@ -153,13 +152,15 @@ def _color_weights(count: int) -> np.ndarray:
 def _certify(g1: Graph, g2: Graph):
     """Joint colorings with 1-WL's verdict (None: distinguished) and a verified isomorphism g1 -> g2, or None.
 
-    One joint refinement of both graphs. It compares the degree multisets,
-    then starts from the degree ranks, which one round from the uniform init
-    gives. Most rounds are sum rounds: a node's new color is the joint rank,
-    over both graphs, of (color, sum of w[color] over its neighbors), w from
-    _color_weights, one bincount over both edge indices, exact in float64 as
-    every sum is below n 2^21 < 2^53. A sum round that splits no class is
-    followed by one exact round (_refine_step) on the same colors: if that
+    It refines the disjoint union of both graphs, g2's node v as node n + v,
+    held as one degree array and one edge index. It compares the degree
+    multisets, then starts from the degree ranks, which one round from the
+    uniform init gives. Most rounds are sum rounds: a node's new color is the
+    rank, over the union, of (color, sum of w[color] over its neighbors), w
+    from _color_weights, one bincount over the union's edge index, exact in
+    float64 as every sum is below n 2^21 < 2^53. A sum round that splits no
+    class is followed by one exact round (_refine_step) on the same colors,
+    over the union's padded neighbor list, built at most once: if that
     splits nothing either, the partition is stable; if it splits a class,
     sum rounds resume. By induction each round's color is a function of
     1-WL's color after as many rounds, the same function on both graphs,
@@ -176,15 +177,19 @@ def _certify(g1: Graph, g2: Graph):
       and its candidate map gets the same edge check, whose failure proves
       nothing.
     The color names are shared across the graphs but are not 1-WL's labels;
-    the partition they name is 1-WL's, and so is the candidate map.
+    the partition they name is 1-WL's, and so is the candidate map. The
+    union is dropped before the edge check, which reads the graphs' own
+    indices.
     """
     n = g1.n
-    if not np.array_equal(np.sort(g1.degrees), np.sort(g2.degrees)):
-        return None, None
-    colors = np.concatenate([_initial_colors(g1, "degree"), _initial_colors(g2, "degree")])
     (indptr1, indices1), (indptr2, indices2) = g1.edge_index, g2.edge_index
-    owner = np.repeat(np.arange(2 * n), np.concatenate([np.diff(indptr1), np.diff(indptr2)]))
-    nbrs, weights, lists = np.concatenate([indices1, indices2 + n]), _color_weights(n), None
+    # the disjoint union: g2's node v is node n + v
+    deg = np.concatenate([np.diff(indptr1), np.diff(indptr2)])
+    if not np.array_equal(np.sort(deg[:n]), np.sort(deg[n:])):
+        return None, None
+    colors = np.unique(deg, return_inverse=True)[1]
+    owner, nbrs = np.repeat(np.arange(2 * n), deg), np.concatenate([indices1, indices2 + n])
+    weights, lists = _color_weights(n), None
     classes, changed = colors.max() + 1, True
     # labels are dense over both graphs, and with equal histograms each graph holds every one
     while changed and 1 < classes < n:
@@ -193,12 +198,12 @@ def _certify(g1: Graph, g2: Graph):
         # within int64 for n < 2^21, past any n x n adjacency that fits in memory
         colors = np.unique(colors * (sums.max() + 1) + sums, return_inverse=True)[1]
         if colors.max() + 1 == classes:  # the sums split no class: an exact round decides
-            lists = lists or [_neighbor_lists(g1), _neighbor_lists(g2)]
-            colorings, changed = _refine_step([colors[:n], colors[n:]], lists)
-            colors = np.concatenate(colorings)
+            lists = _neighbor_lists(deg, nbrs) if lists is None else lists
+            colors, changed = _refine_step(colors, lists)
         if not np.array_equal(np.bincount(colors[:n], minlength=n), np.bincount(colors[n:], minlength=n)):
             return None, None
         classes = colors.max() + 1
+    del owner, nbrs, lists  # the map check needs none of the union
     colorings = [colors[:n], colors[n:]]
     mapping = _verified_map(g1, g2, colorings)
     return (None, None) if mapping is None and classes == n else (colorings, mapping)
@@ -207,10 +212,10 @@ def _certify(g1: Graph, g2: Graph):
 def wl_distinguish(g1: Graph, g2: Graph, init: str = "uniform") -> str:
     """Joint 1-WL verdict: "distinguished" or "indistinguishable".
 
-    The verdict is that of _certify's joint refinement. init is checked
-    (ValueError on an unknown name) but cannot change the verdict: one round
-    from the uniform init gives the degree ranks, and refinement from
-    either ends at the same stable partition.
+    The verdict is that of _certify's refinement of the disjoint union. init
+    is checked (ValueError on an unknown name) but cannot change the
+    verdict: one round from the uniform init gives the degree ranks, and
+    refinement from either ends at the same stable partition.
     """
     _initial_colors(g1, init)  # raises on an unknown init
     return "distinguished" if _certify(g1, g2)[0] is None else "indistinguishable"

@@ -148,17 +148,30 @@ def tuple_rows_isomorphic(y1, y2, tol=1e-6):
     return rows1 == rows2
 
 
+def disjoint_union(graphs, init):
+    """Initial colors and padded neighbor list of the disjoint union of graphs, and its split points.
+
+    Nodes are numbered graph by graph; np.split(colors, bounds) gives each graph's coloring.
+    """
+    bounds = np.cumsum([g.n for g in graphs])[:-1]
+    offsets = np.concatenate([[0], bounds])
+    deg = np.concatenate([np.diff(g.edge_index[0]) for g in graphs])
+    indices = np.concatenate([g.edge_index[1] + offset for g, offset in zip(graphs, offsets)])
+    colors = np.concatenate([wl._initial_colors(g, init) for g in graphs])
+    return colors, wl._neighbor_lists(deg, indices), bounds
+
+
 def full_refinement(g1, g2, init):
     """Joint refinement from init run to stability, with no early exit.
 
     Returns the verdict, the round count and the final colorings.
     """
-    colorings = [wl._initial_colors(g, init) for g in (g1, g2)]
-    nbrs = [wl._neighbor_lists(g) for g in (g1, g2)]
+    colors, nbrs, bounds = disjoint_union((g1, g2), init)
     rounds = 0
     for rounds in range(1, g1.n + g2.n + 2):
-        colorings, changed = wl._refine_step(colorings, nbrs)
+        colors, changed = wl._refine_step(colors, nbrs)
         if not changed:
             break
+    colorings = np.split(colors, bounds)
     same = np.array_equal(*(np.sort(cs) for cs in colorings))
     return ("indistinguishable" if same else "distinguished"), rounds, colorings

@@ -59,13 +59,21 @@ def test_wl_missing_file(capsys):
 
 @pytest.mark.parametrize("command", [("wl", "{path}", "prism"), ("features", "{path}")])
 def test_graph_too_large_for_memory_is_an_error(capsys, tmp_path, command):
-    # an n x n adjacency past any address space: numpy refuses it at once
+    # an O(n) index past any address space: numpy refuses it at once
     path = tmp_path / "huge.txt"
-    path.write_text("100000000\n0 1\n")
+    path.write_text("1000000000000000\n0 1\n")
     code, out, err = run(capsys, *(arg.format(path=path) for arg in command))
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and "allocate" in err
+
+
+def test_node_count_past_int64_is_an_error(capsys, tmp_path):
+    path = tmp_path / "huge.txt"
+    path.write_text(f"{10**30}\n0 1\n")
+    code, out, err = run(capsys, "features", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error:")
 
 
 def test_spectral_pair(capsys):

@@ -798,15 +798,16 @@ def test_dense_pairs_hold_no_float64_matrix():
     g = erdos_renyi(n, 0.5, rng)
     nnz = len(g.edge_index[1])
     ladder = 4 * 3 * n**2 + 8 * 6 * n + 3 * 8 * gnn._CHUNK_VALUES
-    pairs = [(g, apply_permutation(g, Permutation.random(n, rng)), "inconclusive", 8 * 7 * nnz),
+    pairs = [(g, apply_permutation(g, Permutation.random(n, rng)), "inconclusive", 8 * 6 * nnz),
              (g, erdos_renyi(n, 0.5, rng), "separable", 0)]
     for g1, g2, overall, certificate in pairs:
         report, peak = traced_peak(lambda: discriminate_pair(g1, g2))
         assert report.overall == overall
         # the ladder's S, S^2 and S^3 as float32, its result and three
         # cache-sized blocks. On the certified pair 1-WL comes first, and at
-        # p = 1/2 its int64 arrays over the edge index hold more: owner and
-        # neighbour over both graphs, and three arrays of the map check's
-        # edge codes. No n x n float64 array, and no adjacency on any graph
+        # p = 1/2 its arrays over the edge index hold more: the union's owner
+        # and neighbour and a sum round's gathered weights, each over both
+        # graphs. The union is dropped before the map check's three arrays
+        # of edge codes. No n x n float64 array, and no adjacency on any graph
         assert peak <= max(ladder, certificate + 3 * 8 * gnn._CHUNK_VALUES)
         assert "adjacency" not in vars(g1) and "adjacency" not in vars(g2)

@@ -27,7 +27,7 @@ from spectrawl.graphs import (
     TooLargeError,
 )
 
-from conftest import random_graph_pairs
+from conftest import random_graph_pairs, traced_peak
 
 
 def test_from_edge_list_k3():
@@ -263,6 +263,16 @@ def test_save_load_roundtrip(tmp_path, prism, bihexagon):
         path = tmp_path / f"{g.name}.txt"
         save_graph(g, path)
         assert load_graph(path) == g
+
+
+def test_load_builds_no_dense_matrix(tmp_path):
+    # a 10 000-node path: an n x n float64 matrix would take 800 MB
+    n = 10_000
+    path = tmp_path / "path.txt"
+    save_graph(from_edge_list(n, [(i, i + 1) for i in range(n - 1)]), path)
+    g, peak = traced_peak(lambda: load_graph(path))
+    assert (g.n, g.num_edges) == (n, n - 1) and "adjacency" not in vars(g)
+    assert peak < 8 * 2**20
 
 
 def test_load_rejects_self_loop_line(tmp_path):
