@@ -4,10 +4,10 @@ Subcommands expose the library operations on graphs given as files in the
 edge-list format or as built-in names (prism, k33, bihexagon, bipentagon,
 csl:R). Each cmd_* returns its output lines and exit code, and main writes
 the lines to --out or stdout. Exit codes: 0 success, 1 failed check or
-unseparated pair, 2 usage or I/O error, a graph too large for memory
-(MemoryError, or OverflowError for a node count past int64), or an
-eigensolver failure (spectral.ConvergenceFailure); the last two say nothing
-about the pair.
+unseparated pair, 2 usage or I/O error (a node count whose edge codes pass
+int64 is a GraphError), a graph too large for memory (MemoryError, or an
+OverflowError from numpy), or an eigensolver failure
+(spectral.ConvergenceFailure); the last two say nothing about the pair.
 """
 
 from __future__ import annotations

@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .graphs import Graph, TooLargeError, _check_int, _check_positive, _dense, _is_sparse
+from .graphs import Graph, TooLargeError, _check_int, _check_positive, _dense
 
 if TYPE_CHECKING:  # pragma: no cover
     from .spectral import Spectrum
@@ -274,6 +274,15 @@ def _edge_dots(owner: np.ndarray, indices: np.ndarray, p: np.ndarray, dtype) -> 
     return np.bincount(i, dots, len(p)) + np.bincount(l, dots, len(p))
 
 
+#: sparse: nnz * _SPARSE_DENSITY <= n^2 (mean degree <= n / 40). diag_powers then
+#: gathers, and otherwise runs float32 BLAS on a per-call S from the edge index
+_SPARSE_DENSITY = 40
+
+
+def _is_sparse(g: Graph) -> bool:
+    return 2 * g.num_edges * _SPARSE_DENSITY <= g.n**2
+
+
 def diag_powers(g: Graph, depth: int = 10) -> np.ndarray:
     """Closed-walk count features: column k of the result is diag(S^k).
 
@@ -287,10 +296,10 @@ def diag_powers(g: Graph, depth: int = 10) -> np.ndarray:
     S is symmetric, so diag(S^k) is the row-wise dot product of S^a and S^b
     for any a + b = k. Both plans share one chain: from a power P = S^(j-1),
     each step forms Q = S^j = S P and reads diag(S^(2j-1)) and diag(S^(2j))
-    as row dots of P Q and Q Q, then drops P. The plans, chosen from the
-    graph's edge count by graphs._is_sparse, both read column 2, the
-    degrees, off the edge index, and differ only in how the chain starts
-    and in the product by S:
+    as row dots of P Q and Q Q, then drops P. The plans, chosen here from
+    the graph's edge count by _is_sparse, both read column 2, the degrees,
+    off the edge index, and differ only in how the chain starts and in the
+    product by S:
 
     - dense, nnz * 40 > n^2: BLAS on S, built per call from the edge index
       as a float32 0/1 matrix and never cached; the graph's float64

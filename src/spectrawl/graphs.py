@@ -75,15 +75,6 @@ class ParseError(GraphError):
         self.line_no = line_no
 
 
-#: sparse: nnz * _SPARSE_DENSITY <= n^2 (mean degree <= n / 40). gnn.diag_powers then
-#: gathers, and otherwise runs float32 BLAS on a per-call S from the edge index
-_SPARSE_DENSITY = 40
-
-
-def _is_sparse(g) -> bool:  # g: anything with n and num_edges
-    return 2 * g.num_edges * _SPARSE_DENSITY <= g.n**2
-
-
 def _dense(g, dtype) -> np.ndarray:  # g: anything with n and edge_index
     """A new n x n 0/1 adjacency of dtype, built from g's edge index."""
     indptr, indices = g.edge_index
@@ -112,9 +103,14 @@ def _edge_entries(n: int, edges) -> tuple[np.ndarray, np.ndarray]:
     e = np.asarray(edges)
     if e.dtype.kind not in "iu" or e.ndim != 2 or e.shape[1] != 2:
         raise GraphError(f"edges must be an integer array of shape (m, 2), got {e.dtype} of shape {e.shape}")
+    # the codes row * n + column below are int64: the largest, top n + top for the
+    # largest endpoint top, must stay below 2^63 (a top >= n is out of range, named below)
+    top = int(e.max(initial=0))
+    if n >= 2**63 or top < n and top * (n + 1) >= 2**63:
+        raise GraphError(f"node count {n} is too large: edge codes row * n + column pass int64")
     u, v = e.T.astype(np.int64)  # a uint64 past int64 wraps negative: out of range either way
     bad = np.any((u == v) | (np.minimum(u, v) < 0) | (np.maximum(u, v) >= n))
-    # row * n + column, within int64 for n < 3 * 10^9; a repeated edge repeats its codes
+    # a repeated edge repeats its codes
     codes = np.sort(np.concatenate([u * n + v, v * n + u]))
     if bad or np.any(codes[1:] == codes[:-1]):
         raise _first_edge_error(n, e.tolist())  # the scalar loop runs only to name the error

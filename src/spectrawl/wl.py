@@ -2,9 +2,12 @@
 
 Relabeling ranks exact (old color, sorted neighbor color multiset) keys
 rather than hash digests, so there are no collision false-negatives. Labels
-are assigned canonically (sorted key order). Graphs are refined jointly by
-refining their disjoint union, one coloring over one neighbor list, so their
-colorings share one set of names. The refinement of a pair's disjoint union
+are assigned canonically (sorted key order). A round reads the edge index
+only: each node's key is its color and its neighbor colors as (color, count)
+runs, so a round holds O(n R + m), R the most runs of any node, and no row
+padded to the largest degree. Graphs are refined jointly by refining their
+disjoint union, one coloring over one edge index, so their colorings share
+one set of names. The refinement of a pair's disjoint union
 (`_certify`, behind `wl_distinguish`) mostly ranks integer sums of hashed
 color weights instead. Its partition is never finer than 1-WL's, and a sum
 round that splits no class is followed by an exact round, so a collision
@@ -47,57 +50,64 @@ def _initial_colors(g: Graph, init: str) -> np.ndarray:
     raise ValueError(f"unknown init {init!r}; use 'uniform' or 'degree'")
 
 
-def _refine_step(colors: np.ndarray, nbrs: np.ndarray):
-    """One refinement round of one coloring over its padded neighbor list.
+def _refine_step(colors: np.ndarray, owner: np.ndarray, nbrs: np.ndarray):
+    """One refinement round of one coloring over an edge index.
 
-    The disjoint union of any number of graphs is one more coloring and list,
-    so refining the union refines them jointly. Each node's key row is its
-    color, then its sorted neighbor colors padded with -1. Padding after the
-    colors sorts a shorter multiset first, as Python orders tuples, so
-    ranking the distinct rows gives the canonical labels of the (color,
-    sorted neighbor colors) keys. Returns the new coloring (dense labels) and
-    whether the partition changed.
+    Entry e of the index joins node owner[e] to node nbrs[e], owner
+    ascending: the index of one graph, or of the disjoint union of several,
+    which is one more coloring and index, so refining the union refines them
+    jointly. Colors are below the node count n. One sort of the edge codes
+    owner n + color[nbr] turns each node's neighbor colors into ascending
+    (color, count) runs. A run is one key, color 2n + (count if the run
+    ends the node's multiset, else 2n - count), every count below n: within
+    a color, a run that ends sorts first, the shorter of two that end first
+    and the longer of two that continue first, as Python orders the sorted
+    multisets as tuples. So the rows (color, run keys, zero padding to R,
+    the most runs of any node) sort as the (color, sorted neighbor colors)
+    keys, and their ranks are those keys' canonical labels. np.unique ranks
+    the rows as big-endian byte strings, which compare as the rows do: one
+    comparison per pair of rows, not one per column. A round holds
+    O(n R + m), not O(n max degree). Returns the new coloring (dense labels)
+    and whether the partition changed.
     """
-    # one key array, filled in place: fewer large temporaries alive at once
-    keys = np.empty((len(colors), 1 + nbrs.shape[1]), dtype=np.int64)
+    n = len(colors)
+    # codes and run keys are below 2 n^2: within int64 for n < 2^31 nodes,
+    # whose colors alone would take 16 GiB
+    codes = owner * n
+    codes += colors[nbrs]
+    codes.sort()  # in place: the edge-sized arrays are the largest of the round
+    # bool flags, not int64 differences: a pass over the edges costs less
+    new = np.ones(len(codes), dtype=bool)
+    new[1:] = codes[1:] != codes[:-1]
+    first = np.flatnonzero(new)  # each run's first entry
+    counts = np.diff(first, append=len(codes))
+    node = owner[first]  # the sort keeps the ascending owners in place
+    ends = np.ones(len(first), dtype=bool)
+    ends[:-1] = node[1:] != node[:-1]
+    runs = (codes[first] - node * n) * (2 * n) + np.where(ends, counts, 2 * n - counts)
+    per = np.bincount(node, minlength=n)
+    keys = np.zeros((n, 1 + per.max(initial=0)), dtype=">u8")
     keys[:, 0] = colors
-    # index -1 reads the appended sentinel, which sorts after every color
-    keys[:, 1:] = np.append(colors, np.iinfo(np.int64).max)[nbrs]
-    keys[:, 1:].sort(axis=1)
-    keys[:, 1:][nbrs < 0] = -1
-    order = np.lexsort(keys.T[::-1])
-    ranked = keys[order]
-    starts = np.ones(len(keys), dtype=bool)
-    starts[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
-    labels = np.empty(len(keys), dtype=np.int64)
-    labels[order] = np.cumsum(starts) - 1
+    # a row-major mask fill keeps the run order: row v takes its per[v] runs
+    keys[:, 1:][np.arange(keys.shape[1] - 1) < per[:, None]] = runs
+    del codes, new, first, counts, node, ends, runs, per  # before the ranking's copies
+    labels = np.unique(keys.view(f"S{keys.itemsize * keys.shape[1]}")[:, 0], return_inverse=True)[1]
     # new colors are functions of old colors, so partitions only refine; a
-    # round changes something iff a new label starts inside an old color
-    changed = bool(np.any(starts[1:] & (ranked[1:, 0] == ranked[:-1, 0])))
-    return labels, changed
-
-
-def _neighbor_lists(deg: np.ndarray, indices: np.ndarray) -> np.ndarray:
-    """len(deg) x (max degree) neighbor indices, each row left-packed and padded with -1.
-
-    deg and indices are the row degrees and column indices of a CSR index:
-    of one graph, or of the disjoint union of several.
-    """
-    out = np.full((len(deg), deg.max(initial=0)), -1, dtype=np.int64)
-    # a row-major mask fill keeps the CSR order: row v takes its deg[v] indices
-    out[np.arange(out.shape[1]) < deg[:, None]] = indices
-    return out
+    # round changes the partition iff it makes more classes
+    return labels, bool(labels.max() + 1 > np.count_nonzero(np.bincount(colors)))
 
 
 def wl_refine(g: Graph, init: str = "uniform") -> WLColoring:
-    """Run color refinement to stability on a single graph."""
-    indptr, indices = g.edge_index
-    nbrs = _neighbor_lists(np.diff(indptr), indices)
+    """Run color refinement to stability on a single graph.
+
+    Every round is exact (_refine_step) over the graph's own edge index.
+    """
+    owner = np.repeat(np.arange(g.n), np.diff(g.edge_index[0]))
     colors = _initial_colors(g, init)
     history = [tuple(colors.tolist())]
     stable_at = g.n
     for step in range(1, g.n + 1):
-        colors, changed = _refine_step(colors, nbrs)
+        colors, changed = _refine_step(colors, owner, g.edge_index[1])
         history.append(tuple(colors.tolist()))
         if not changed:
             stable_at = step
@@ -160,9 +170,9 @@ def _certify(g1: Graph, g2: Graph):
     from _color_weights, one bincount over the union's edge index, exact in
     float64 as every sum is below n 2^21 < 2^53. A sum round that splits no
     class is followed by one exact round (_refine_step) on the same colors,
-    over the union's padded neighbor list, built at most once: if that
-    splits nothing either, the partition is stable; if it splits a class,
-    sum rounds resume. By induction each round's color is a function of
+    over the union's edge index (owner, nbrs) that the sum rounds read: if
+    that splits nothing either, the partition is stable; if it splits a
+    class, sum rounds resume. By induction each round's color is a function of
     1-WL's color after as many rounds, the same function on both graphs,
     and the final partition is equitable and refines the degrees, so it is
     1-WL's stable partition of both graphs together. Hence:
@@ -189,7 +199,7 @@ def _certify(g1: Graph, g2: Graph):
         return None, None
     colors = np.unique(deg, return_inverse=True)[1]
     owner, nbrs = np.repeat(np.arange(2 * n), deg), np.concatenate([indices1, indices2 + n])
-    weights, lists = _color_weights(n), None
+    weights = _color_weights(n)
     classes, changed = colors.max() + 1, True
     # labels are dense over both graphs, and with equal histograms each graph holds every one
     while changed and 1 < classes < n:
@@ -198,12 +208,11 @@ def _certify(g1: Graph, g2: Graph):
         # within int64 for n < 2^21, past any n x n adjacency that fits in memory
         colors = np.unique(colors * (sums.max() + 1) + sums, return_inverse=True)[1]
         if colors.max() + 1 == classes:  # the sums split no class: an exact round decides
-            lists = _neighbor_lists(deg, nbrs) if lists is None else lists
-            colors, changed = _refine_step(colors, lists)
+            colors, changed = _refine_step(colors, owner, nbrs)
         if not np.array_equal(np.bincount(colors[:n], minlength=n), np.bincount(colors[n:], minlength=n)):
             return None, None
         classes = colors.max() + 1
-    del owner, nbrs, lists  # the map check needs none of the union
+    del owner, nbrs  # the map check needs none of the union
     colorings = [colors[:n], colors[n:]]
     mapping = _verified_map(g1, g2, colorings)
     return (None, None) if mapping is None and classes == n else (colorings, mapping)

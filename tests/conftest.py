@@ -149,7 +149,7 @@ def tuple_rows_isomorphic(y1, y2, tol=1e-6):
 
 
 def disjoint_union(graphs, init):
-    """Initial colors and padded neighbor list of the disjoint union of graphs, and its split points.
+    """Initial colors and edge index (owner, indices) of the disjoint union of graphs, and its split points.
 
     Nodes are numbered graph by graph; np.split(colors, bounds) gives each graph's coloring.
     """
@@ -158,7 +158,7 @@ def disjoint_union(graphs, init):
     deg = np.concatenate([np.diff(g.edge_index[0]) for g in graphs])
     indices = np.concatenate([g.edge_index[1] + offset for g, offset in zip(graphs, offsets)])
     colors = np.concatenate([wl._initial_colors(g, init) for g in graphs])
-    return colors, wl._neighbor_lists(deg, indices), bounds
+    return colors, (np.repeat(np.arange(len(deg)), deg), indices), bounds
 
 
 def full_refinement(g1, g2, init):
@@ -166,10 +166,10 @@ def full_refinement(g1, g2, init):
 
     Returns the verdict, the round count and the final colorings.
     """
-    colors, nbrs, bounds = disjoint_union((g1, g2), init)
+    colors, index, bounds = disjoint_union((g1, g2), init)
     rounds = 0
     for rounds in range(1, g1.n + g2.n + 2):
-        colors, changed = wl._refine_step(colors, nbrs)
+        colors, changed = wl._refine_step(colors, *index)
         if not changed:
             break
     colorings = np.split(colors, bounds)

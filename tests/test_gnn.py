@@ -345,7 +345,7 @@ def _gather_cases():
 
 
 def test_diag_powers_gather_plan_is_exact(monkeypatch):
-    monkeypatch.setattr(graphs, "_SPARSE_DENSITY", 0)  # every graph takes the gather plan
+    monkeypatch.setattr(gnn, "_SPARSE_DENSITY", 0)  # every graph takes the gather plan
     for g in _gather_cases():
         ref = _sequential_diag_powers(g, 16)
         assert ref.max() < 2.0**53
@@ -378,7 +378,7 @@ def test_wedge_square_and_depth_6_hold_one_float32_power(g):
 
 def test_depth_6_reads_column_5_from_edge_dots(monkeypatch, count_calls):
     # depth 7 still forms S^3 by gathers, and reads column 5 off it
-    monkeypatch.setattr(graphs, "_SPARSE_DENSITY", 0)  # every graph takes the gather plan
+    monkeypatch.setattr(gnn, "_SPARSE_DENSITY", 0)  # every graph takes the gather plan
     slots = count_calls(gnn, "_gather_slots")
     edge_dots = count_calls(gnn, "_edge_dots")
     hub = _star_plus_path()
@@ -405,7 +405,7 @@ def test_gather_chain_switches_to_float64_past_2_24(monkeypatch, count_calls):
     # so float32 cannot hold it; every count through depth 13 is below 2^53
     h = 257
     g = from_edge_list(h + 1, [(0, i) for i in range(1, h + 1)])
-    monkeypatch.setattr(graphs, "_SPARSE_DENSITY", 0)
+    monkeypatch.setattr(gnn, "_SPARSE_DENSITY", 0)
     products = count_calls(gnn, "_gather_product")
     s, p = g.adjacency.astype(np.int64), np.eye(g.n, dtype=np.int64)
     ref = np.empty((g.n, 13), dtype=np.int64)
@@ -420,7 +420,7 @@ def test_gather_chain_switches_to_float64_past_2_24(monkeypatch, count_calls):
 
 
 def test_diag_powers_sparse_plan_never_reads_adjacency(monkeypatch):
-    monkeypatch.setattr(graphs, "_SPARSE_DENSITY", 0)  # every graph takes the gather plan
+    monkeypatch.setattr(gnn, "_SPARSE_DENSITY", 0)  # every graph takes the gather plan
     for g in _gather_cases():
         for depth in range(1, 17):
             np.testing.assert_array_equal(diag_powers(_bare(g), depth), diag_powers(g, depth))

@@ -25,6 +25,7 @@ from spectrawl.graphs import (
     SelfLoopError,
     SizeMismatchError,
     TooLargeError,
+    _edge_entries,
 )
 
 from conftest import random_graph_pairs, traced_peak
@@ -409,6 +410,29 @@ def test_edge_array_constructor_rejects_bad_edges(kwargs, error, message):
     with pytest.raises(error, match=message) as err:
         Graph(3, **kwargs)
     assert type(err.value) is error
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: _edge_entries(4 * 10**9, np.array([[3 * 10**9, 3 * 10**9 + 1]])),
+        lambda: Graph(10**30, edges=np.array([[0, 1]])),
+        lambda: from_edge_list(10**30, [(0, 1)]),
+    ],
+    ids=["codes-past-int64", "node-count-past-int64", "edge-list-past-int64"],
+)
+def test_edge_codes_past_int64_are_an_error(build):
+    # the codes row * n + column would wrap in int64, or n itself does not fit
+    with pytest.raises(GraphError, match=r"^node count \d+ is too large") as err:
+        build()
+    assert type(err.value) is GraphError
+
+
+def test_largest_node_count_whose_codes_fit():
+    # 3037000499^2 - 1 is the largest code below 2^63 for an edge to node n - 1
+    n = 3037000499
+    rows, columns = _edge_entries(n, np.array([[n - 1, 0]]))
+    assert (rows.tolist(), columns.tolist()) == ([0, n - 1], [n - 1, 0])
 
 
 def test_constructors_agree_on_one_edge_set(tmp_path):

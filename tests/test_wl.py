@@ -16,9 +16,9 @@ from spectrawl import (
     wl_feature_matrix,
     wl_refine,
 )
-from spectrawl import graphs, wl
+from spectrawl import gnn, wl
 
-from conftest import disjoint_union, full_refinement, random_graph_pairs
+from conftest import disjoint_union, full_refinement, random_graph_pairs, traced_peak
 
 
 def _same_partition(colorings, final):
@@ -188,6 +188,11 @@ def _oracle_distinguish(g1, g2, init):
     return "indistinguishable" if sig1 == sig2 else "distinguished"
 
 
+def _hub_plus_path(n):
+    """A hub joined to every other node, which also form a path."""
+    return from_edge_list(n, [(0, i) for i in range(1, n)] + [(i, i + 1) for i in range(1, n - 1)])
+
+
 def _oracle_cases():
     rng = np.random.default_rng(53)
     special = [
@@ -196,6 +201,7 @@ def _oracle_cases():
         from_edge_list(6, [(i, j) for i in range(6) for j in range(i + 1, 6)]),  # complete
         from_edge_list(7, [(0, j) for j in range(1, 7)]),  # star
         from_edge_list(9, [(0, 1), (1, 2), (3, 4), (5, 6), (6, 7), (7, 5)]),  # disconnected
+        _hub_plus_path(60),  # a hub of degree 59 whose neighbors fall in fewer colors
     ]
     graphs = special + [
         erdos_renyi(int(rng.integers(2, 40)), float(rng.uniform(0.05, 0.6)), rng) for _ in range(100)
@@ -233,10 +239,10 @@ def test_joint_step_matches_oracle_across_sizes():
     # graphs of different sizes and maximum degrees share one relabeling
     graphs, _ = _oracle_cases()
     for group in (graphs[:5], graphs[5:12], graphs[12:40:3]):
-        colors, nbrs, bounds = disjoint_union(group, "degree")
+        colors, index, bounds = disjoint_union(group, "degree")
         expected = [_oracle_init(g, "degree") for g in group]
         for _ in range(4):
-            colors, changed = wl._refine_step(colors, nbrs)
+            colors, changed = wl._refine_step(colors, *index)
             expected, expected_changed = _oracle_step(expected, [_oracle_nbrs(g) for g in group])
             assert [c.tolist() for c in np.split(colors, bounds)] == expected
             assert changed == expected_changed
@@ -317,7 +323,6 @@ def test_sum_collisions_cannot_change_a_verdict(monkeypatch):
 def test_rounds_run_only_until_the_answer_is_known(count_calls, prism):
     rng = np.random.default_rng(131)
     steps = count_calls(wl, "_refine_step")
-    built = count_calls(wl, "_neighbor_lists")
     # one sum round from the degree ranks makes G(60, 0.5) discrete, so no
     # exact round runs, and the edge check stands in for the round that
     # would confirm it
@@ -326,13 +331,13 @@ def test_rounds_run_only_until_the_answer_is_known(count_calls, prism):
         del steps[:]
         assert wl_distinguish(g, apply_permutation(g, Permutation.random(60, rng)), init) == "indistinguishable"
         assert steps == []
-    # a regular pair is stable from the degree ranks: no round, no neighbor list
-    del steps[:], built[:]
+    # a regular pair is stable from the degree ranks: no round
+    del steps[:]
     csl = csl_base_graph(41, 5)
     for r in (prism, csl):
         for init in ("uniform", "degree"):
             assert wl_distinguish(r, apply_permutation(r, Permutation.random(r.n, rng)), init) == "indistinguishable"
-    assert steps == [] and built == []
+    assert steps == []
 
 
 def _neighbor_degree_swap(g, rng):
@@ -404,7 +409,7 @@ def test_discriminate_pair_keeps_the_verdict_of_1_wl():
 
 def test_differing_degrees_build_no_neighbor_lists(count_calls, prism, bihexagon):
     rng = np.random.default_rng(83)
-    built = count_calls(wl, "_neighbor_lists")
+    steps = count_calls(wl, "_refine_step")
     for _ in range(20):
         n = int(rng.integers(5, 60))
         g1, g2 = erdos_renyi(n, 0.2, rng), erdos_renyi(n, 0.2, rng)
@@ -416,10 +421,26 @@ def test_differing_degrees_build_no_neighbor_lists(count_calls, prism, bihexagon
     assert wl_distinguish(prism, from_edge_list(6, [(0, 1), (2, 3)])) == "distinguished"
     # a regular pair is stable from the start
     assert wl_distinguish(prism, apply_permutation(prism, Permutation.random(6, rng))) == "indistinguishable"
-    assert built == []
+    assert steps == []
     # other equal degree multisets do refine
     assert wl_distinguish(bihexagon, apply_permutation(bihexagon, Permutation.random(10, rng))) == "indistinguishable"
-    assert len(built) == 1  # one list, of the union
+    assert len(steps) == 1  # one exact round, of the union
+
+
+def test_exact_rounds_hold_memory_linear_in_the_edge_index(count_calls):
+    # a star's hub has n - 1 neighbors of one color: one run, not n - 1 entries
+    n = 4000
+    star = from_edge_list(n, [(0, i) for i in range(1, n)])
+    relabeled = apply_permutation(star, Permutation.random(n, np.random.default_rng(149)))
+    nnz = 2 * star.num_edges
+    steps = count_calls(wl, "_refine_step")
+    verdict, peak = traced_peak(lambda: wl_distinguish(star, relabeled))
+    assert verdict == "indistinguishable" and len(steps) == 1  # the sums split nothing
+    assert peak < 64 * (2 * n + 2 * nnz)  # the union: N = 2n nodes, 2 nnz entries
+    del steps[:]
+    coloring, peak = traced_peak(lambda: wl_refine(star))
+    assert coloring.stable_at == len(steps) == 2
+    assert peak < 64 * (n + nnz)
 
 
 def test_verified_map_is_an_isomorphism(prism, k33, bihexagon, bipentagon):
@@ -485,7 +506,7 @@ def test_verified_map_reads_the_same_on_either_plan(monkeypatch, density):
         colors[[0, 1]] = colors[[1, 0]]
         cases.append((g, apply_permutation(g, perm), [np.arange(n), colors]))
     expected = [wl._verified_map(g1, g2, c) is not None for g1, g2, c in cases]
-    monkeypatch.setattr(graphs, "_SPARSE_DENSITY", density)
+    monkeypatch.setattr(gnn, "_SPARSE_DENSITY", density)
     for (g1, g2, colorings), found in zip(cases, expected):
         g2 = Graph(g2.n, edges=np.array(g2.edges()).reshape(-1, 2))  # a fresh graph, no adjacency yet
         assert (wl._verified_map(g1, g2, colorings) is not None) == found
