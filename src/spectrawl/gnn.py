@@ -204,7 +204,9 @@ def _gather_product(slots, p: np.ndarray, dtype) -> np.ndarray:
 
     Each result row sums the rows of p at its neighbours, one slot at a time
     over a chunk of rows: m n additions for m nonzeros, against 2 n^3 flops
-    by BLAS. The sums run in dtype, which may be wider than p's.
+    by BLAS. The sums run in dtype, which may be wider than p's: an integer
+    S^2, or float32 past the exact bound, is widened one slot of at most
+    _GATHER_ROWS rows at a time as it is added.
     """
     out = np.empty(p.shape, dtype)
     acc = np.empty((_GATHER_ROWS, p.shape[1]), dtype)
@@ -217,19 +219,22 @@ def _gather_product(slots, p: np.ndarray, dtype) -> np.ndarray:
 
 
 def _wedge_square(g: Graph) -> np.ndarray:
-    """S^2 from the edge index, as float32: entry (i, j) counts the wedges i - k - j.
+    """S^2 from the edge index, as unsigned integers: entry (i, j) counts the wedges i - k - j.
 
     Rows are counted a block of about _CHUNK_VALUES entries at a time: the
     wedges of the block's rows, k's neighbours j for each edge (i, k), are
     listed straight from the index and counted by one bincount, the sum of
-    squared degrees additions in all. Every count is at most n - 1, so the
-    block's float64 counts cast exactly into the float32 result, and no
-    other n x n buffer is made.
+    squared degrees additions in all. Every count is at most Delta, the
+    maximum degree, as i has at most Delta neighbours k, so the block's
+    int64 counts cast exactly into the result's type
+    np.min_scalar_type(Delta): uint8 below 256 and uint16 below 65536, a
+    quarter or a half of float32's bytes. No other n x n buffer is made;
+    the readers widen rows a cache-sized block at a time.
     """
     indptr, indices = g.edge_index
     n = g.n
     deg = np.diff(indptr)
-    out = np.empty((n, n), np.float32)
+    out = np.empty((n, n), np.min_scalar_type(deg.max(initial=0)))
     block = max(1, _CHUNK_VALUES // n)
     for r in range(0, n, block):
         rows = min(block, n - r)
@@ -258,8 +263,9 @@ def _edge_dots(owner: np.ndarray, indices: np.ndarray, p: np.ndarray, dtype) -> 
     """diag(S^5) from S^2 = p: entry i is the sum over i's edges (i, l) of <p_i, p_l>.
 
     S^5 = S S^2 S^2, and S^2 is symmetric. One dot per undirected edge, in
-    dtype over rows of p taken a block of about _CHUNK_VALUES values at a
-    time, is credited to both ends by a float64 bincount. A dot is an entry
+    dtype over rows of p (integer counts, _wedge_square) taken and widened
+    a block of about _CHUNK_VALUES values at a time, is credited to both
+    ends by a float64 bincount. A dot is an entry
     of S^4 and a sum one of diag(S^5), so with Delta the maximum degree
     every partial sum is an integer at most Delta^4: exact in float32 below
     2^24, and in float64 below 2^53.
@@ -315,14 +321,15 @@ def diag_powers(g: Graph, depth: int = 10) -> np.ndarray:
     - sparse, nnz * 40 <= n^2: from the edge index alone; no n x n
       adjacency is built. S^2 is counted from the wedges i - k - j (sum of
       squared degrees additions), column 3 is S^2 summed over each node's
-      edges, and the chain starts from S^2. Its product is a gather: row i
+      edges, and the chain starts from S^2, held as one- or two-byte
+      unsigned integers (_wedge_square). Its product is a gather: row i
       of S P is the sum of P's rows at i's neighbours, m n additions for
       m = nnz. Nodes are sorted by degree in chunks of 32 rows and the sums
       run one neighbour slot at a time over a prefix of each chunk. At
       depth 6 no chain runs: column 5 is read from S^2 alone by one dot per
       edge (`_edge_dots`), m n / 2 products where S^3 costs m n additions
-      and the row dots n^2 more, and the plan holds one n x n float32
-      power. From depth 7 the chain forms S^3 for diag(S^6) anyway, and
+      and the row dots n^2 more, and the plan holds S^2 as its one n x n
+      array. From depth 7 the chain forms S^3 for diag(S^6) anyway, and
       column 5 costs n^2 more by row dots. This plan holds no more than the
       bytes of two n x n float64 powers at any depth.
 
@@ -334,13 +341,17 @@ def diag_powers(g: Graph, depth: int = 10) -> np.ndarray:
       Delta^(j-1) < 2^24 are float32, summed in float32, and exact; from
       the first j past that bound the chain is float64. The dense plan
       widens S once for it, and S^2 before squaring it when S^4 is past
-      the bound.
+      the bound. The sparse plan's S^2 is the exception: it is counted
+      into the narrowest unsigned integer type that holds Delta, and each
+      reader widens its rows a block at a time, to float32 or float64 by
+      the same bound.
     - The row dot giving diag(S^k), or the edge dots giving diag(S^5) at
-      depth 6, run in float32 only while both operands are float32 and
-      Delta^(k-1) < 2^24. Otherwise they run in float64, on rows of float32
-      operands widened a cache-sized block at a time.
+      depth 6, run in float32 while Delta^(k-1) < 2^24 and in float64
+      past it, directly on operands of that type, and otherwise on rows of
+      integer or float32 operands widened a cache-sized block at a time.
 
-    A float32 power halves its bytes. The gathers are bound by memory
+    A float32 power halves its bytes, and an integer S^2 takes a quarter
+    or a half of those again. The gathers are bound by memory
     traffic, which cuts the product's time to 0.5x-0.65x (n = 1000 to
     2000), and BLAS runs float32 at about twice the float64 rate (ssyrk
     2.4 ms against dsyrk 5.0 ms at n = 600, one thread). No inexact float32
@@ -368,18 +379,19 @@ def diag_powers(g: Graph, depth: int = 10) -> np.ndarray:
     out[:, 0] = 1.0
 
     def dots(k: int, p: np.ndarray, q: np.ndarray) -> None:
-        # column k as the row dots of p and q: in their dtype when both are
-        # float64, or both float32 below the exact bound; else in float64
+        # column k as the row dots of p and q: in float32 below the exact
+        # bound, else in float64; directly when both are of that type
         if k >= depth:
             return
-        if p.dtype == q.dtype and (p.dtype == np.float64 or k < exact):
+        wide = np.float32 if k < exact else np.float64
+        if p.dtype == q.dtype == wide:
             out[:, k] = _row_dots(p, q)
             return
-        block = max(1, _CHUNK_VALUES // n)  # float32 rows widened a block at a time
+        block = max(1, _CHUNK_VALUES // n)  # integer or float32 rows widened a block at a time
         for r in range(0, n, block):
             rows = slice(r, r + block)
-            a = p[rows].astype(np.float64, copy=False)
-            out[rows, k] = _row_dots(a, a if q is p else q[rows].astype(np.float64, copy=False))
+            a = p[rows].astype(wide, copy=False)
+            out[rows, k] = _row_dots(a, a if q is p else q[rows].astype(wide, copy=False))
 
     if depth <= 2:
         return out

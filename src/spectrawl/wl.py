@@ -9,9 +9,11 @@ padded to the largest degree. Graphs are refined jointly by refining their
 disjoint union, one coloring over one edge index, so their colorings share
 one set of names. The refinement of a pair's disjoint union
 (`_certify`, behind `wl_distinguish`) mostly ranks integer sums of hashed
-color weights instead. Its partition is never finer than 1-WL's, and a sum
-round that splits no class is followed by an exact round, so a collision
-only delays a split to that round and never changes a verdict.
+color weights instead, summed over each graph's own edge index, so the
+union's edge index is built only for an exact round. Its partition is never
+finer than 1-WL's, and a sum round that splits no class is followed by an
+exact round, so a collision only delays a split to that round and never
+changes a verdict.
 """
 
 from __future__ import annotations
@@ -129,7 +131,9 @@ def _verified_map(g1: Graph, g2: Graph, colorings) -> np.ndarray | None:
     isomorphic and every class is a single node, the candidate is the one
     isomorphism, so it passes. The sorted codes row n + column of the
     mapped edges are compared with g2's, which its row-major index lists in
-    order: no dense adjacency is read or built.
+    order: no dense adjacency is read or built. Each code array is built and
+    sorted in place, so the check holds two int64 arrays over one graph's
+    edge index, and a gather of the same size while the first is built.
     """
     n = g1.n
     order1 = np.argsort(colorings[0], kind="stable")
@@ -139,9 +143,11 @@ def _verified_map(g1: Graph, g2: Graph, colorings) -> np.ndarray | None:
     (indptr1, indices1), (indptr2, indices2) = g1.edge_index, g2.edge_index
     if len(indices1) != len(indices2):
         return None
-    rows = np.repeat(mapping, np.diff(indptr1))  # image of each edge's first node
-    codes = np.sort(rows * n + mapping[indices1])
-    codes2 = np.repeat(np.arange(n) * n, np.diff(indptr2)) + indices2  # sorted, as g2's index is
+    codes = np.repeat(mapping * n, np.diff(indptr1))  # image of each edge's first node
+    codes += mapping[indices1]
+    codes.sort()
+    codes2 = np.repeat(np.arange(n) * n, np.diff(indptr2))
+    codes2 += indices2  # sorted, as g2's index is
     return mapping if np.array_equal(codes, codes2) else None
 
 
@@ -159,18 +165,39 @@ def _color_weights(count: int) -> np.ndarray:
     return ((z ^ (z >> np.uint64(31))) >> np.uint64(43)).astype(np.float64)
 
 
+def _neighbor_sums(graphs, x: np.ndarray) -> np.ndarray:
+    """Per node of the disjoint union of graphs, the sum of x over its neighbors, as float64.
+
+    x holds one value per node of the union, graph by graph. Each graph's
+    sums are one np.add.reduceat of x gathered over its own edge index, cut
+    at the indptr starts of its nonempty rows only: reduceat gives an empty
+    row the next entry, not 0, and past the last entry it raises. Rows with
+    no neighbors keep 0. No edge array of the union is made, and the
+    gathered values of one graph are the only edge-sized array.
+    """
+    out = np.zeros(len(x))
+    start = 0
+    for g in graphs:
+        indptr, indices = g.edge_index
+        rows = np.flatnonzero(np.diff(indptr))
+        out[start + rows] = np.add.reduceat(x[start : start + g.n][indices], indptr[rows])
+        start += g.n
+    return out
+
+
 def _certify(g1: Graph, g2: Graph):
     """Joint colorings with 1-WL's verdict (None: distinguished) and a verified isomorphism g1 -> g2, or None.
 
     It refines the disjoint union of both graphs, g2's node v as node n + v,
-    held as one degree array and one edge index. It compares the degree
-    multisets, then starts from the degree ranks, which one round from the
-    uniform init gives. Most rounds are sum rounds: a node's new color is the
-    rank, over the union, of (color, sum of w[color] over its neighbors), w
-    from _color_weights, one bincount over the union's edge index, exact in
-    float64 as every sum is below n 2^21 < 2^53. A sum round that splits no
-    class is followed by one exact round (_refine_step) on the same colors,
-    over the union's edge index (owner, nbrs) that the sum rounds read: if
+    held as one degree array and one coloring over both graphs. It compares
+    the degree multisets, then starts from the degree ranks, which one round
+    from the uniform init gives. Most rounds are sum rounds: a node's new
+    color is the rank, over the union, of (color, sum of w[color] over its
+    neighbors), w from _color_weights, summed over each graph's own edge
+    index (_neighbor_sums), exact in float64 as every partial sum is an
+    integer below n 2^21 < 2^53. A sum round that splits no class is
+    followed by one exact round (_refine_step) on the same colors, over the
+    union's edge index (owner, nbrs), which the first such round builds: if
     that splits nothing either, the partition is stable; if it splits a
     class, sum rounds resume. By induction each round's color is a function of
     1-WL's color after as many rounds, the same function on both graphs,
@@ -187,32 +214,35 @@ def _certify(g1: Graph, g2: Graph):
       and its candidate map gets the same edge check, whose failure proves
       nothing.
     The color names are shared across the graphs but are not 1-WL's labels;
-    the partition they name is 1-WL's, and so is the candidate map. The
-    union is dropped before the edge check, which reads the graphs' own
-    indices.
+    the partition they name is 1-WL's, and so is the candidate map. A pair
+    that runs no exact round holds no edge array of the union, and the union
+    is dropped before the edge check, which reads the graphs' own indices.
     """
     n = g1.n
     (indptr1, indices1), (indptr2, indices2) = g1.edge_index, g2.edge_index
-    # the disjoint union: g2's node v is node n + v
     deg = np.concatenate([np.diff(indptr1), np.diff(indptr2)])
     if not np.array_equal(np.sort(deg[:n]), np.sort(deg[n:])):
         return None, None
     colors = np.unique(deg, return_inverse=True)[1]
-    owner, nbrs = np.repeat(np.arange(2 * n), deg), np.concatenate([indices1, indices2 + n])
     weights = _color_weights(n)
+    union = None  # the union's edge index, for exact rounds only
     classes, changed = colors.max() + 1, True
     # labels are dense over both graphs, and with equal histograms each graph holds every one
     while changed and 1 < classes < n:
-        sums = np.bincount(owner, weights[colors][nbrs], 2 * n).astype(np.int64)
-        # (color, sum) as one int64 key in the same order: below n^2 2^21,
-        # within int64 for n < 2^21, past any n x n adjacency that fits in memory
+        sums = _neighbor_sums((g1, g2), weights[colors]).astype(np.int64)
+        # (color, sum) as one int64 key in the same order: a sum is at most
+        # Delta (2^21 - 1), Delta the maximum degree, so a key is below
+        # classes (sums.max() + 1) <= n Delta 2^21: within int64 while
+        # n Delta <= 2^42, as on every graph below 2^21 nodes
         colors = np.unique(colors * (sums.max() + 1) + sums, return_inverse=True)[1]
         if colors.max() + 1 == classes:  # the sums split no class: an exact round decides
-            colors, changed = _refine_step(colors, owner, nbrs)
+            if union is None:  # g2's node v is node n + v
+                union = np.repeat(np.arange(2 * n), deg), np.concatenate([indices1, indices2 + n])
+            colors, changed = _refine_step(colors, *union)
         if not np.array_equal(np.bincount(colors[:n], minlength=n), np.bincount(colors[n:], minlength=n)):
             return None, None
         classes = colors.max() + 1
-    del owner, nbrs  # the map check needs none of the union
+    del union  # the map check needs none of the union
     colorings = [colors[:n], colors[n:]]
     mapping = _verified_map(g1, g2, colorings)
     return (None, None) if mapping is None and classes == n else (colorings, mapping)

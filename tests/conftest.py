@@ -161,6 +161,12 @@ def disjoint_union(graphs, init):
     return colors, (np.repeat(np.arange(len(deg)), deg), indices), bounds
 
 
+def union_bincount_sums(graphs, x):
+    """Per node of the disjoint union of graphs, the sum of x over its neighbors, by one bincount over the union's edge index."""
+    _, (owner, indices), _ = disjoint_union(graphs, "uniform")
+    return np.bincount(owner, x[indices], len(x))
+
+
 def full_refinement(g1, g2, init):
     """Joint refinement from init run to stability, with no early exit.
 

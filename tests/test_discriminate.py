@@ -786,8 +786,9 @@ def test_sparse_pairs_hold_no_dense_matrix():
     for g1, g2, overall in pairs:
         report, peak = traced_peak(lambda: discriminate_pair(g1, g2))
         assert report.overall == overall
-        # the ladder's float32 S^2, its result and a few cache-sized blocks:
-        # no n x n float64 array, and no dense adjacency on any graph
+        # the ladder's S^2 (uint8 here, allowed float32's bytes), its result
+        # and a few cache-sized blocks: no n x n float64 array, and no dense
+        # adjacency on any graph
         assert peak <= 4 * n**2 + 8 * 6 * n + 3 * 8 * gnn._CHUNK_VALUES
         assert "adjacency" not in vars(g1) and "adjacency" not in vars(g2)
 
@@ -798,16 +799,16 @@ def test_dense_pairs_hold_no_float64_matrix():
     g = erdos_renyi(n, 0.5, rng)
     nnz = len(g.edge_index[1])
     ladder = 4 * 3 * n**2 + 8 * 6 * n + 3 * 8 * gnn._CHUNK_VALUES
-    pairs = [(g, apply_permutation(g, Permutation.random(n, rng)), "inconclusive", 8 * 6 * nnz),
+    pairs = [(g, apply_permutation(g, Permutation.random(n, rng)), "inconclusive", 8 * 3 * nnz),
              (g, erdos_renyi(n, 0.5, rng), "separable", 0)]
     for g1, g2, overall, certificate in pairs:
         report, peak = traced_peak(lambda: discriminate_pair(g1, g2))
         assert report.overall == overall
         # the ladder's S, S^2 and S^3 as float32, its result and three
-        # cache-sized blocks. On the certified pair 1-WL comes first, and at
-        # p = 1/2 its arrays over the edge index hold more: the union's owner
-        # and neighbour and a sum round's gathered weights, each over both
-        # graphs. The union is dropped before the map check's three arrays
-        # of edge codes. No n x n float64 array, and no adjacency on any graph
+        # cache-sized blocks. On the certified pair 1-WL comes first, and it
+        # holds at most three arrays over one graph's edge index: a sum
+        # round's gathered weights, or the map check's two arrays of edge
+        # codes and one gather. No exact round runs, so no edge array of the
+        # union is built. No n x n float64 array, and no adjacency on any graph
         assert peak <= max(ladder, certificate + 3 * 8 * gnn._CHUNK_VALUES)
         assert "adjacency" not in vars(g1) and "adjacency" not in vars(g2)

@@ -353,11 +353,32 @@ def test_diag_powers_gather_plan_is_exact(monkeypatch):
             np.testing.assert_array_equal(diag_powers(g, depth), ref[:, :depth])
 
 
+def _star(leaves):
+    return from_edge_list(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
+
+
 def test_wedge_square_counts_s_squared_exactly():
-    for g in _gather_cases() + [Graph(7, np.zeros((7, 7)))]:
+    # every entry of S^2 is at most the maximum degree Delta: a hub of degree
+    # 255 fits uint8, one of degree 256 takes uint16
+    stars = [_star(255), _star(256), _star_plus_path(256), _star_plus_path(257)]
+    for g in _gather_cases() + [Graph(7, np.zeros((7, 7)))] + stars:
         s2 = gnn._wedge_square(g)
-        assert s2.dtype == np.float32
+        delta = int(np.diff(g.edge_index[0]).max(initial=0))
+        assert s2.dtype == np.min_scalar_type(delta)
         np.testing.assert_array_equal(s2, g.adjacency @ g.adjacency)
+    assert [gnn._wedge_square(g).dtype for g in stars] == [np.uint8, np.uint16, np.uint8, np.uint16]
+
+
+def test_depth_10_gathers_widen_an_integer_s_squared(count_calls):
+    # a hub of degree 299: S^2 is uint16, S^3 (entries up to 299^2) is
+    # gathered from it in float32, and from S^4 the chain is float64
+    g = _star_plus_path(300)
+    assert gnn._is_sparse(g)
+    products = count_calls(gnn, "_gather_product")
+    ref = half_power_diag_powers(g, 10)
+    assert ref.max() < 2.0**53
+    np.testing.assert_array_equal(diag_powers(g, 10), ref)
+    assert [(args[1].dtype, args[2]) for args in products[:2]] == [(np.uint16, np.float32), (np.float32, np.float64)]
 
 
 def _star_plus_path(n=600):
@@ -368,12 +389,15 @@ def _star_plus_path(n=600):
 @pytest.mark.parametrize("g", [erdos_renyi(600, 8 / 600, np.random.default_rng(5)), _star_plus_path()])
 def test_wedge_square_and_depth_6_hold_one_float32_power(g):
     g.edge_index  # cached with the graph, not counted here
+    # S^2 counts into the narrowest type that holds the maximum degree:
+    # uint8 on G(600, 8/600), uint16 on the hub of degree 599
+    itemsize = np.min_scalar_type(int(np.diff(g.edge_index[0]).max())).itemsize
     for build in (gnn._wedge_square, lambda g: diag_powers(g, 6)):
         _, peak = traced_peak(lambda: build(g))
-        # S^2 as float32, the depth-6 result, and three blocks of
-        # _CHUNK_VALUES float64 values: one block's counts and wedge lists,
-        # or a block of edge rows from each end, as float32 and widened
-        assert peak <= 4 * g.n**2 + 8 * 6 * g.n + 3 * 8 * gnn._CHUNK_VALUES
+        # S^2, the depth-6 result, and three blocks of _CHUNK_VALUES float64
+        # values: one block's counts and wedge lists, or a block of edge
+        # rows from each end, widened
+        assert peak <= itemsize * g.n**2 + 8 * 6 * g.n + 3 * 8 * gnn._CHUNK_VALUES
 
 
 def test_depth_6_reads_column_5_from_edge_dots(monkeypatch, count_calls):

@@ -18,7 +18,7 @@ from spectrawl import (
 )
 from spectrawl import gnn, wl
 
-from conftest import disjoint_union, full_refinement, random_graph_pairs, traced_peak
+from conftest import disjoint_union, full_refinement, random_graph_pairs, traced_peak, union_bincount_sums
 
 
 def _same_partition(colorings, final):
@@ -235,6 +235,25 @@ def test_distinguish_matches_dict_keyed_oracle():
     assert {"distinguished", "indistinguishable"} <= set(verdicts)
 
 
+def test_neighbor_sums_match_the_union_bincount():
+    # reduceat gives an empty row the next entry, and raises past the last
+    # one: isolated nodes, trailing degree-0 rows and edgeless graphs are
+    # where a per-graph reduceat can go wrong
+    _, pairs = _oracle_cases()
+    trailing = from_edge_list(6, [(0, 1), (1, 2)])  # nodes 3-5 isolated
+    leading = from_edge_list(6, [(3, 4), (4, 5)])  # nodes 0-2 isolated
+    gaps = from_edge_list(8, [(0, 1), (3, 4), (6, 7)])  # isolated nodes between edges
+    edgeless = Graph(6, np.zeros((6, 6)))
+    pairs += [(trailing, leading), (leading, trailing), (gaps, trailing), (edgeless, trailing),
+              (trailing, edgeless), (edgeless, edgeless), (edgeless, _hub_plus_path(60))]
+    rng = np.random.default_rng(151)
+    weights = wl._color_weights(64)
+    for g1, g2 in pairs:
+        size = g1.n + g2.n
+        for x in (weights[rng.integers(0, 64, size)], rng.integers(0, 2**21, size).astype(np.float64)):
+            np.testing.assert_array_equal(wl._neighbor_sums((g1, g2), x), union_bincount_sums((g1, g2), x))
+
+
 def test_joint_step_matches_oracle_across_sizes():
     # graphs of different sizes and maximum degrees share one relabeling
     graphs, _ = _oracle_cases()
@@ -441,6 +460,23 @@ def test_exact_rounds_hold_memory_linear_in_the_edge_index(count_calls):
     coloring, peak = traced_peak(lambda: wl_refine(star))
     assert coloring.stable_at == len(steps) == 2
     assert peak < 64 * (n + nnz)
+
+
+def test_certify_holds_three_edge_arrays_of_one_graph(count_calls):
+    # on a relabeled G(600, 1/2) the sum rounds make the partition discrete
+    # and no exact round runs, so no edge array of the union is built: a sum
+    # round gathers one graph's weights at a time, and the map check holds
+    # two code arrays and one gather, each over one graph's edge index
+    rng = np.random.default_rng(157)
+    g = erdos_renyi(600, 0.5, rng)
+    h = apply_permutation(g, Permutation.random(600, rng))
+    h.edge_index  # cached with the graph, not counted here
+    nnz = len(g.edge_index[1])
+    steps = count_calls(wl, "_refine_step")
+    (colorings, mapping), peak = traced_peak(lambda: wl._certify(g, h))
+    assert mapping is not None and steps == []
+    # and arrays over the union's 2n nodes, well within three cache-sized blocks
+    assert peak <= 3 * 8 * nnz + 3 * 8 * gnn._CHUNK_VALUES
 
 
 def test_verified_map_is_an_isomorphism(prism, k33, bihexagon, bipentagon):

@@ -11,9 +11,13 @@ and collects the (g1, g2, config) each op passes to discriminate_pair.
 Two checkouts that print the same lines give byte-identical reports and
 colorings on every case.
 
-Run from anywhere, on the checkout that holds this file:
+Run from anywhere:
 
-    python3 tools/report_digest.py
+    python3 tools/report_digest.py [CHECKOUT]
+
+CHECKOUT (default: the checkout that holds this file) is the tree whose src
+and perfbench/workloads.py are imported, so one copy of this tool digests a
+parent commit's checkout as well as its own.
 """
 
 from __future__ import annotations
@@ -30,9 +34,9 @@ ROOT = Path(__file__).resolve().parents[1]
 SEEDS = (7, 11, 23)
 
 
-def benchmark_pairs(discriminate):
-    """(g1, g2, config) of every pair_small and pair_large op at SEEDS, as each op passes them."""
-    build = runpy.run_path(str(ROOT / "perfbench" / "workloads.py"))["build"]
+def benchmark_pairs(root: Path, discriminate):
+    """(g1, g2, config) of every pair_small and pair_large op at SEEDS, as each op of root's workloads passes them."""
+    build = runpy.run_path(str(root / "perfbench" / "workloads.py"))["build"]
     calls = []
     original = discriminate.discriminate_pair
     discriminate.discriminate_pair = lambda g1, g2, config: calls.append((g1, g2, config))
@@ -62,11 +66,14 @@ def wl_digest(wl, pairs) -> tuple[int, str]:
     return count, digest.hexdigest()
 
 
-def main() -> int:
-    sys.path.insert(0, str(ROOT / "src"))
+def main(argv: list[str]) -> int:
+    if len(argv) > 1:
+        sys.exit(f"usage: {Path(__file__).name} [CHECKOUT]")
+    root = Path(argv[0]).resolve() if argv else ROOT
+    sys.path.insert(0, str(root / "src"))
     from spectrawl import discriminate, wl
 
-    pairs = benchmark_pairs(discriminate)
+    pairs = benchmark_pairs(root, discriminate)
     digest, count = hashlib.sha256(), 0
     for g1, g2, config in pairs:
         for c in (config, dataclasses.replace(config, check_conditions=not config.check_conditions)):
@@ -78,4 +85,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))
