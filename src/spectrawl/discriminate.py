@@ -125,7 +125,9 @@ def discriminate_pair(g1: Graph, g2: Graph, config: PairConfig = PairConfig()) -
     sum_i lambda_i^k first (spectral._power_sums): p_0..p_2 from the node and
     edge counts at any filter length, later p_k from the walk counts' column
     sums where they are exact. The first k whose p_k differ is the witness
-    (k, p_k(g1), p_k(g2)); no eigenvalue is computed then. When every
+    (k, p_k(g1), p_k(g2)); no eigenvalue is computed then. The counts'
+    p_0..p_2 are compared first, and when they differ that witness stands:
+    the sums over the ladders are compared only when they tie. When every
     admitted power sum ties, with p_0..p_n among them (n the node count, so
     fewer nodes than admitted sums), Newton's identities make the
     characteristic polynomials equal: the spectra are equal, and the
@@ -186,7 +188,8 @@ def discriminate_pair(g1: Graph, g2: Graph, config: PairConfig = PairConfig()) -
         # formed on first call: by the fallback below, or for conditions 2 and 3
         spectra = functools.cache(lambda: (spectral._values_first(g1, x1), spectral._values_first(g2, x2)))
 
-        witness = spectral._power_sum_witness(g1, g2, x1, x2)
+        # the ladders' p_0..p_2 are the counts', so a counts-only witness is theirs
+        witness = low or spectral._power_sum_witness(g1, g2, x1, x2)
         # p_0..p_n tie, which fixes the characteristic polynomial. The witness
         # compared the admitted ones of max(3, depth) power sums
         spectra_equal = witness is None and spectral._admitted_columns(g1, g2, max(3, depth)) > g1.n

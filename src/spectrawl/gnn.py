@@ -112,15 +112,16 @@ class StochasticConfig:
         _check_int(self.seed, "seed", 0)
 
 
-def _horner(matvec, term, order: int):
+def _horner(m: np.ndarray, term, order: int):
     """sum_k M^k term(k) for k < order, nested as term(0) + M(term(1) + M(...)).
 
-    matvec applies M and returns a new array. Each term is made only when the
-    nesting reaches it and is added into that array, so no step allocates a sum.
+    m is the matrix M, read by one product per step; a caller passes the
+    adjacency it read once. Each term is made only when the nesting reaches
+    it and is added into that step's new product, so no step allocates a sum.
     """
     acc = term(order - 1)
     for k in range(order - 2, -1, -1):
-        acc = matvec(acc)
+        acc = m @ acc
         acc += term(k)
     return acc
 
@@ -128,12 +129,13 @@ def _horner(matvec, term, order: int):
 def graph_filter(g: Graph, h: FilterParams, x: np.ndarray) -> np.ndarray:
     """Apply z = sum_k h_k S^k x by Horner nesting (no explicit matrix powers).
 
-    x may be a vector of length n or an (n, D) feature matrix.
+    x may be a vector of length n or an (n, D) feature matrix. S is
+    g.adjacency, built once per call and dropped on return.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.shape[0] != g.n:
         raise DimensionMismatchError(f"input has {x.shape[0]} rows, graph has {g.n} nodes")
-    return _horner(lambda acc: g.adjacency @ acc, lambda k: h.coeffs[k] * x, len(h))
+    return _horner(g.adjacency, lambda k: h.coeffs[k] * x, len(h))
 
 
 def gnn_layer(g: Graph, x: np.ndarray, taps, sigma=LINEAR) -> np.ndarray:
@@ -158,7 +160,7 @@ def gnn_layer(g: Graph, x: np.ndarray, taps, sigma=LINEAR) -> np.ndarray:
             raise DimensionMismatchError(
                 f"tap expects {hk.shape[0]} input features, got {x.shape[1]}"
             )
-    return sigma(_horner(lambda acc: g.adjacency @ acc, lambda k: x @ hs[k], len(hs)))
+    return sigma(_horner(g.adjacency, lambda k: x @ hs[k], len(hs)))
 
 
 #: rows that a gather product accumulates at a time

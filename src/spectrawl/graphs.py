@@ -11,7 +11,6 @@ import numbers
 import operator
 import os
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -125,6 +124,8 @@ class Graph:
     from an (m, 2) integer array listing each edge once, Graph(n, edges=e).
     Only the CSR index edge_index = (indptr, indices) is kept, both int64 and
     read-only: v's neighbours are indices[indptr[v]:indptr[v + 1]], ascending.
+    Nothing else is ever stored on a graph: a dense matrix is built per call
+    (adjacency) and lives only as long as its caller holds it.
     """
 
     n: int
@@ -163,11 +164,12 @@ class Graph:
     def __hash__(self):
         return hash((self.n, *(a.tobytes() for a in self.edge_index)))
 
-    @cached_property
+    @property
     def adjacency(self) -> np.ndarray:
-        """Dense read-only float64 0/1 adjacency, built from the edge index on first
-        use and cached. Only the eigensolvers, graph_filter and gnn_layer (and so
-        stochastic_variance), and is_isomorphic_bruteforce ask."""
+        """A new dense read-only float64 0/1 adjacency, built from the edge index on
+        every call and not kept: a caller reads it once and drops it. Only the
+        eigensolvers, graph_filter and gnn_layer (and so stochastic_variance), and
+        is_isomorphic_bruteforce ask."""
         a = _dense(self, np.float64)
         a.flags.writeable = False
         return a

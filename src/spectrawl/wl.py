@@ -266,14 +266,13 @@ def wl_feature_matrix(g: Graph, depth: int) -> np.ndarray:
     This is what refinement effectively propagates when multiset hashing is
     collision-free; on regular graphs every column is constant, which is the
     whole failure mode. Each product sums x over every node's neighbours on
-    the edge index; the counts are integers, exact in float64 below 2^53.
+    the edge index (_neighbor_sums, the kernel of 1-WL's sum rounds); the
+    counts are integers, exact in float64 below 2^53.
     """
     depth = _check_int(depth, "depth", 1)
-    indptr, indices = g.edge_index
-    owner = np.repeat(np.arange(g.n), np.diff(indptr))
     out = np.empty((g.n, depth))
     x = np.ones(g.n)
     for k in range(depth):
-        x = np.bincount(owner, x[indices], g.n)
+        x = _neighbor_sums((g,), x)
         out[:, k] = x
     return out

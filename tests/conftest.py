@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from spectrawl import Permutation, apply_permutation, corpus_graph, erdos_renyi, spectral, wl
+from spectrawl import Permutation, apply_permutation, corpus_graph, erdos_renyi, gnn, graphs, spectral, wl
 from spectrawl.spectral import EigenGroup
 
 
@@ -44,6 +44,26 @@ def count_calls(monkeypatch):
         return calls
 
     return install
+
+
+@pytest.fixture
+def float64_builds(monkeypatch):
+    """The graphs that graphs._dense builds an n x n float64 matrix of during this test, in order.
+
+    Graph.adjacency reads graphs._dense and the dense ladder its own import
+    in gnn, so both names are wrapped; the ladder's float32 S is not recorded.
+    """
+    builds = []
+    original = graphs._dense
+
+    def dense(g, dtype):
+        if np.dtype(dtype) == np.float64:
+            builds.append(g)
+        return original(g, dtype)
+
+    for module in (graphs, gnn):
+        monkeypatch.setattr(module, "_dense", dense)
+    return builds
 
 
 def traced_peak(fn):

@@ -776,7 +776,35 @@ def _sparse_edge_array(n, rng):
     return np.column_stack([u[u < v], v[u < v]])
 
 
-def test_sparse_pairs_hold_no_dense_matrix():
+def test_no_library_call_leaves_state_on_a_graph(count_calls, float64_builds):
+    # every reader of the dense adjacency builds it per call and drops it, so
+    # afterwards each graph holds its three fields and nothing else
+    reached = [count_calls(np.linalg, "eigvalsh"), count_calls(spectral, "check_separability_conditions"),
+               count_calls(spectral, "eigendecompose")]
+    g1, g2 = _independent_sparse_pair(60, 127)
+    # condition 1 fails at depth 2, so conditions 2 and 3 are looked for on
+    # values-first spectra, whose unmatched groups form eigenvectors
+    config = PairConfig(filter=FilterParams((1.0,)), check_conditions=True, condition_depth=2)
+    assert discriminate_pair(g1, g2, config).conditions.separable
+    assert all(reached) and g1 in float64_builds and g2 in float64_builds
+    g = erdos_renyi(10, 0.4, np.random.default_rng(149))
+    h = apply_permutation(g, Permutation.random(10, np.random.default_rng(151)))
+    # each direct reader builds a graph's matrix once per call
+    for call, reads in [
+        (lambda: eigendecompose(g), [g]),
+        (lambda: gnn.graph_filter(g, PAIR_FILTER, np.ones(g.n)), [g]),
+        (lambda: gnn_layer(g, np.ones((g.n, 2)), [np.eye(2)] * 3), [g]),
+        (lambda: gnn.stochastic_variance(g, PAIR_FILTER, gnn.StochasticConfig(samples=64)), [g]),
+        (lambda: is_isomorphic_bruteforce(g, h), [g, h]),
+    ]:
+        float64_builds.clear()
+        call()
+        assert float64_builds == reads
+    for x in (g1, g2, g, h):
+        assert set(vars(x)) == {"n", "edge_index", "name"}
+
+
+def test_sparse_pairs_hold_no_dense_matrix(float64_builds):
     n = 2000
     rng = np.random.default_rng(101)
     g = Graph(n, edges=_sparse_edge_array(n, rng))
@@ -788,12 +816,12 @@ def test_sparse_pairs_hold_no_dense_matrix():
         assert report.overall == overall
         # the ladder's S^2 (uint8 here, allowed float32's bytes), its result
         # and a few cache-sized blocks: no n x n float64 array, and no dense
-        # adjacency on any graph
+        # adjacency read
         assert peak <= 4 * n**2 + 8 * 6 * n + 3 * 8 * gnn._CHUNK_VALUES
-        assert "adjacency" not in vars(g1) and "adjacency" not in vars(g2)
+        assert float64_builds == []
 
 
-def test_dense_pairs_hold_no_float64_matrix():
+def test_dense_pairs_hold_no_float64_matrix(float64_builds):
     n = 600
     rng = np.random.default_rng(103)
     g = erdos_renyi(n, 0.5, rng)
@@ -809,6 +837,6 @@ def test_dense_pairs_hold_no_float64_matrix():
         # holds at most three arrays over one graph's edge index: a sum
         # round's gathered weights, or the map check's two arrays of edge
         # codes and one gather. No exact round runs, so no edge array of the
-        # union is built. No n x n float64 array, and no adjacency on any graph
+        # union is built. No n x n float64 array, and no adjacency read
         assert peak <= max(ladder, certificate + 3 * 8 * gnn._CHUNK_VALUES)
-        assert "adjacency" not in vars(g1) and "adjacency" not in vars(g2)
+        assert float64_builds == []

@@ -266,13 +266,13 @@ def test_save_load_roundtrip(tmp_path, prism, bihexagon):
         assert load_graph(path) == g
 
 
-def test_load_builds_no_dense_matrix(tmp_path):
+def test_load_builds_no_dense_matrix(tmp_path, float64_builds):
     # a 10 000-node path: an n x n float64 matrix would take 800 MB
     n = 10_000
     path = tmp_path / "path.txt"
     save_graph(from_edge_list(n, [(i, i + 1) for i in range(n - 1)]), path)
     g, peak = traced_peak(lambda: load_graph(path))
-    assert (g.n, g.num_edges) == (n, n - 1) and "adjacency" not in vars(g)
+    assert (g.n, g.num_edges) == (n, n - 1) and float64_builds == []
     assert peak < 8 * 2**20
 
 
@@ -468,10 +468,12 @@ def test_erdos_renyi_keeps_the_dense_draw(n, p):
     assert rng.random() == ref.random()
 
 
-def test_graph_keeps_no_dense_input():
+def test_graph_keeps_no_dense_input(float64_builds):
     a = erdos_renyi(30, 0.3, np.random.default_rng(107)).adjacency.copy()
     g = Graph(30, a)
-    assert "adjacency" not in vars(g)
-    s = g.adjacency  # built from the index on first use, then cached
-    assert g.adjacency is s and s is not a and not s.flags.writeable
+    assert len(float64_builds) == 1  # a's source: the constructor builds nothing dense
+    s, t = g.adjacency, g.adjacency  # built from the index on every read, never kept
+    assert float64_builds[1:] == [g, g] and set(vars(g)) == {"n", "edge_index", "name"}
+    assert s is not t and s is not a and not (s.flags.writeable or t.flags.writeable)
     np.testing.assert_array_equal(s, a)
+    np.testing.assert_array_equal(t, a)

@@ -527,7 +527,7 @@ def test_verified_map_needs_equal_edge_counts():
 
 
 @pytest.mark.parametrize("density", [0, 10**9], ids=["all-sparse", "all-dense"])
-def test_verified_map_reads_the_same_on_either_plan(monkeypatch, density):
+def test_verified_map_reads_the_same_on_either_plan(monkeypatch, float64_builds, density):
     # sorted edge codes at either density: one answer, and no adjacency built
     rng = np.random.default_rng(109)
     cases = []
@@ -544,17 +544,17 @@ def test_verified_map_reads_the_same_on_either_plan(monkeypatch, density):
     expected = [wl._verified_map(g1, g2, c) is not None for g1, g2, c in cases]
     monkeypatch.setattr(gnn, "_SPARSE_DENSITY", density)
     for (g1, g2, colorings), found in zip(cases, expected):
-        g2 = Graph(g2.n, edges=np.array(g2.edges()).reshape(-1, 2))  # a fresh graph, no adjacency yet
         assert (wl._verified_map(g1, g2, colorings) is not None) == found
-        assert "adjacency" not in vars(g1) and "adjacency" not in vars(g2)
+    assert float64_builds == []
     assert expected.count(True) == 3
 
 
-def test_feature_matrix_is_the_adjacency_ladder_from_the_index():
+def test_feature_matrix_is_the_adjacency_ladder_from_the_index(float64_builds):
     rng = np.random.default_rng(113)
-    for g in [erdos_renyi(n, p, rng) for n, p in ((1, 0.5), (30, 0.2), (200, 0.05), (80, 0.6))]:
-        x = wl_feature_matrix(g, 6)
-        assert "adjacency" not in vars(g)
+    cases = [erdos_renyi(n, p, rng) for n, p in ((1, 0.5), (30, 0.2), (200, 0.05), (80, 0.6))]
+    features = [wl_feature_matrix(g, 6) for g in cases]
+    assert float64_builds == []
+    for g, x in zip(cases, features):
         ref, col = np.empty((g.n, 6)), np.ones(g.n)
         for k in range(6):
             col = g.adjacency @ col
