@@ -97,7 +97,7 @@ def cmd_wl(args, cfg: dict) -> tuple[list[str], int]:
         lines += [f"iteration {t}: {list(colors)}" for t, colors in enumerate(coloring.colors)]
         lines += [f"stable_at: {coloring.stable_at}", f"classes: {coloring.num_classes}"]
         return lines, 0
-    verdict = wl.wl_distinguish(g1, resolve_graph(args.graph2), init=args.init)
+    verdict = wl.wl_distinguish(g1, resolve_graph(args.graph2))
     return [verdict], 0 if verdict == "distinguished" else 1
 
 
@@ -129,17 +129,22 @@ def cmd_features(args, cfg: dict) -> tuple[list[str], int]:
 def cmd_discriminate(args, cfg: dict) -> tuple[list[str], int]:
     g1, g2 = resolve_graph(args.graph), resolve_graph(args.graph2)
     config = discriminate.PairConfig(**_settings(args, cfg, "filter", "sigma", "tol"))
+    fmt = _settings(args, cfg, "format").get("format", "json")
+    if fmt not in ("json", "csv"):
+        raise discriminate.ConfigError(f"config setting format must be 'json' or 'csv', got {fmt!r}")
     start = time.perf_counter()
     report = discriminate.discriminate_pair(g1, g2, config)
     row = discriminate.BenchmarkRow.from_report(report, (time.perf_counter() - start) * 1e3)
     code = 0 if report.overall == "separable" else 1
-    if (args.format or cfg.get("format")) == "csv":
+    if fmt == "csv":
         return [discriminate.BenchmarkSummary((row,)).to_csv().removesuffix("\n")], code
     return [report.to_json()], code
 
 
 def cmd_csl(args, cfg: dict) -> tuple[list[str], int]:
     raw = cfg.get("csl", {})
+    if not isinstance(raw, dict):
+        raise discriminate.ConfigError(f"config setting csl must be a JSON object, got {raw!r}")
     spec = discriminate.CslSpec(**_settings(args, raw, "n", "skips", "copies_per_class", "seed"))
     if args.generate:
         os.makedirs(args.generate, exist_ok=True)
@@ -259,9 +264,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = load_config(args.config)
-        lines, code = args.func(args, cfg)
         # commands without --out ignore a config "out" too
-        _emit("\n".join(lines), (args.out or cfg.get("out")) if "out" in args else None)
+        out = _settings(args, cfg, "out").get("out") if "out" in args else None
+        if out is not None and not isinstance(out, str):
+            raise discriminate.ConfigError(f"config setting out must be a file path string, got {out!r}")
+        lines, code = args.func(args, cfg)
+        _emit("\n".join(lines), out)
         return code
     except (
         GraphError, OSError, json.JSONDecodeError, ValueError, MemoryError, OverflowError, spectral.ConvergenceFailure

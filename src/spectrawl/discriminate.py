@@ -10,7 +10,6 @@ score per graph.
 
 from __future__ import annotations
 
-import functools
 import json
 import time
 from dataclasses import asdict, dataclass, fields
@@ -142,9 +141,13 @@ def discriminate_pair(g1: Graph, g2: Graph, config: PairConfig = PairConfig()) -
     decides alone when it holds. When it fails and p_0..p_n tie, conditions
     2 and 3 cannot hold on the equal spectra, and the report is inconclusive
     without looking for them.
-    Otherwise they are looked for on the values-first spectra, which form
-    eigenvectors, by one full decomposition per graph, only when some
-    eigenvalue group is unmatched. The ladders are condition_depth deep,
+    Otherwise, when the spectral witness is None, the values-first spectra
+    matched group for group, and conditions 2 and 3 are looked for on them:
+    they visit no group and read no eigenvector. When there is a witness,
+    they are looked for on the graphs, each decomposed once by
+    spectral.eigendecompose with its residual and orthogonality checks, so
+    the condition report is check_separability_conditions(g1, g2, ...) bit
+    for bit. The ladders are condition_depth deep,
     unless the counts-only witness (spectral._power_sum_witness with no
     ladders: p_0 or p_2) differs at some k below condition_depth: then
     column k's sums differ, which proves condition 1 without comparing rows,
@@ -185,8 +188,6 @@ def discriminate_pair(g1: Graph, g2: Graph, config: PairConfig = PairConfig()) -
         rows_differ = low is not None and low[0] < d
         depth = max(len(config.filter), low[0] + 1 if rows_differ else d)
         x1, x2 = gnn.diag_powers(g1, depth), gnn.diag_powers(g2, depth)
-        # formed on first call: by the fallback below, or for conditions 2 and 3
-        spectra = functools.cache(lambda: (spectral._values_first(g1, x1), spectral._values_first(g2, x2)))
 
         # the ladders' p_0..p_2 are the counts', so a counts-only witness is theirs
         witness = low or spectral._power_sum_witness(g1, g2, x1, x2)
@@ -194,7 +195,8 @@ def discriminate_pair(g1: Graph, g2: Graph, config: PairConfig = PairConfig()) -
         # compared the admitted ones of max(3, depth) power sums
         spectra_equal = witness is None and spectral._admitted_columns(g1, g2, max(3, depth)) > g1.n
         if witness is None and not spectra_equal:
-            witness = spectral.spectra_differ(*spectra(), config.tol)
+            spectra = spectral._values_first(g1, x1), spectral._values_first(g2, x2)
+            witness = spectral.spectra_differ(*spectra, config.tol)
         spectral_verdict = "separable" if witness is not None else "inconclusive"
 
         y1 = gnn._walk_readout(x1, config.filter, config.sigma)
@@ -208,9 +210,10 @@ def discriminate_pair(g1: Graph, g2: Graph, config: PairConfig = PairConfig()) -
             elif spectra_equal:
                 conditions = spectral.ConditionReport(False, None, None, "inconclusive")
             else:
-                conditions = spectral.check_separability_conditions(
-                    *spectra(), x1[:, :d], x2[:, :d], config.tol
-                )
+                # no witness: the values-first spectra match, so conditions 2
+                # and 3 visit no group. A witness: decompose each graph once
+                pair = spectra if witness is None else (g1, g2)
+                conditions = spectral.check_separability_conditions(*pair, x1[:, :d], x2[:, :d], config.tol)
 
     separable = (
         wl_verdict == "distinguished"
@@ -357,24 +360,26 @@ def anonymous_embed(g: Graph, layers) -> np.ndarray:
     The first layer either synthesizes its own features (DiagLayer) or is a
     ConvLayer fed the closed-walk features diag(S^0..S^{D-1}) with D taken
     from its tap shape. The two choices agree when the DiagLayer uses
-    selector filters. Later layers must be ConvLayers.
+    selector filters. Later layers must be ConvLayers. Every ConvLayer reads
+    one g.adjacency, built once per call, and a DiagLayer alone builds none.
     """
     layers = list(layers)
     if not layers:
         raise ConfigError("need at least one layer")
-    first = layers[0]
+    first, convs = layers[0], layers[1:]
+    if not isinstance(first, (DiagLayer, ConvLayer)):
+        raise ConfigError(f"unsupported first layer {type(first).__name__}")
+    if not all(isinstance(layer, ConvLayer) for layer in convs):
+        raise ConfigError("layers after the first must be ConvLayers")
     if isinstance(first, DiagLayer):
         walks = gnn.diag_powers(g, max(len(f) for f in first.filters))
         x = np.stack([gnn._walk_readout(walks, f, first.sigma) for f in first.filters], axis=1)
-    elif isinstance(first, ConvLayer):
-        d_in = np.atleast_2d(np.asarray(first.taps[0])).shape[0]
-        x = gnn.gnn_layer(g, gnn.diag_powers(g, d_in), first.taps, first.sigma)
     else:
-        raise ConfigError(f"unsupported first layer {type(first).__name__}")
-    for layer in layers[1:]:
-        if not isinstance(layer, ConvLayer):
-            raise ConfigError("layers after the first must be ConvLayers")
-        x = gnn.gnn_layer(g, x, layer.taps, layer.sigma)
+        # a first ConvLayer reads diag(S^0..S^{D-1}), D its taps' input width
+        x, convs = gnn.diag_powers(g, np.atleast_2d(np.asarray(first.taps[0])).shape[0]), layers
+    s = g.adjacency if convs else None
+    for layer in convs:
+        x = gnn._layer(s, x, layer.taps, layer.sigma)
     return x
 
 

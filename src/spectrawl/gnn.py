@@ -142,14 +142,20 @@ def gnn_layer(g: Graph, x: np.ndarray, taps, sigma=LINEAR) -> np.ndarray:
     """One propagation layer Y = sigma(sum_k S^k X H_k).
 
     taps is the list [H_0, ..., H_{K-1}] of (D_in, D_out) matrices. Evaluated
-    with the same Horner nesting as graph_filter.
+    with the same Horner nesting as graph_filter, on g.adjacency built once
+    per call.
     """
+    return _layer(g.adjacency, x, taps, sigma)
+
+
+def _layer(s: np.ndarray, x: np.ndarray, taps, sigma) -> np.ndarray:
+    """gnn_layer on the adjacency matrix s, so that several layers share one read of it."""
     sigma = as_nonlinearity(sigma)
     x = np.asarray(x, dtype=np.float64)
     if x.ndim == 1:
         x = x[:, None]
-    if x.shape[0] != g.n:
-        raise DimensionMismatchError(f"input has {x.shape[0]} rows, graph has {g.n} nodes")
+    if x.shape[0] != len(s):
+        raise DimensionMismatchError(f"input has {x.shape[0]} rows, graph has {len(s)} nodes")
     hs = [np.atleast_2d(np.asarray(hk, dtype=np.float64)) for hk in taps]
     if not hs:
         raise DimensionMismatchError("need at least one tap matrix")
@@ -157,10 +163,8 @@ def gnn_layer(g: Graph, x: np.ndarray, taps, sigma=LINEAR) -> np.ndarray:
         if hk.shape != hs[0].shape:
             raise DimensionMismatchError("all tap matrices must share one shape")
         if hk.shape[0] != x.shape[1]:
-            raise DimensionMismatchError(
-                f"tap expects {hk.shape[0]} input features, got {x.shape[1]}"
-            )
-    return sigma(_horner(g.adjacency, lambda k: x @ hs[k], len(hs)))
+            raise DimensionMismatchError(f"tap expects {hk.shape[0]} input features, got {x.shape[1]}")
+    return sigma(_horner(s, lambda k: x @ hs[k], len(hs)))
 
 
 #: rows that a gather product accumulates at a time

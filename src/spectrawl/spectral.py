@@ -2,10 +2,11 @@
 
 A `Spectrum` carries eigenvalues sorted ascending, an orthonormal eigenvector
 matrix, and the partition of eigenvalue indices into near-degenerate groups.
-`eigendecompose` builds it eagerly; `discriminate_pair` first compares the
-exact power sums (`_power_sums`), and only when they tie builds it
-values-first, with eigenvectors formed by one full decomposition the first
-time its condition test asks for a group's basis.
+`eigendecompose` builds it from one `eigh` call; `discriminate_pair` first
+compares the exact power sums (`_power_sums`), and only when they tie builds
+it values-first, eigenvalues only (`_values_first`). A spectrum is a plain
+value: nothing fills in its eigenvectors later, so a condition test that
+needs them is given the graphs, or `eigendecompose`'s spectra.
 On top of that this module builds the separability machinery: grouped-spectrum
 comparison, the three-condition feature test, eigenvalue-isolating polynomial
 filters, and the absolute-eigenvector test for equal simple spectra.
@@ -60,10 +61,11 @@ class EigenGroup:
 class Spectrum:
     """Eigenvalues, eigenvectors and eigenvalue groups of one graph.
 
-    `eigendecompose` fills every field. A values-first spectrum (built inside
-    `discriminate_pair`) starts with eigenvectors None and keeps its graph:
-    the first request for a group's basis (`_group_basis`) fills eigenvectors
-    in from one full `eigendecompose` of that graph.
+    `eigendecompose` fills every field from one `eigh` call. A values-first
+    spectrum (`_values_first`, built inside `discriminate_pair`) has
+    eigenvectors None, and keeps them None: it serves the grouped-spectrum
+    comparison and a condition test whose groups all match, which reads no
+    eigenvector.
 
     The group values and multiplicities are also held as two arrays, made
     once when the spectrum is built; every group lookup (`find_group`,
@@ -73,7 +75,6 @@ class Spectrum:
     eigenvalues: np.ndarray      # ascending, length n
     eigenvectors: np.ndarray | None  # orthogonal, column i pairs with eigenvalue i; None: not formed
     groups: tuple[EigenGroup, ...]
-    _graph: Graph | None = field(default=None, repr=False)
     _group_values: np.ndarray = field(init=False, repr=False)  # ascending, one per group
     _group_sizes: np.ndarray = field(init=False, repr=False)   # multiplicities
 
@@ -170,8 +171,7 @@ def _values_first(g: Graph, walks: np.ndarray) -> Spectrum:
     walks holds diag(S^k) in column k, as `gnn.diag_powers` returns it. The
     eigenvalues are checked by the trace identity sum_i lambda_i^k = p_k
     (`_power_sums`) instead of the residual and orthogonality checks of
-    `eigendecompose`, which need eigenvectors. They are formed, all at once,
-    on the first request for a group's basis (`_group_basis`).
+    `eigendecompose`, which need eigenvectors. None are formed, then or later.
     """
     try:
         w = np.linalg.eigvalsh(g.adjacency)
@@ -179,7 +179,7 @@ def _values_first(g: Graph, walks: np.ndarray) -> Spectrum:
         raise ConvergenceFailure(str(exc)) from exc
     _check_power_sums(w, _power_sums(g, walks), walks.shape[1])
     w.flags.writeable = False
-    return Spectrum(w, None, _group_indices(w, default_group_tol(w)), g)
+    return Spectrum(w, None, _group_indices(w, default_group_tol(w)))
 
 
 def _check_power_sums(w: np.ndarray, traces: np.ndarray, depth: int) -> None:
@@ -248,18 +248,6 @@ def _power_sum_witness(
     return None
 
 
-def _group_basis(s: Spectrum, grp: EigenGroup) -> np.ndarray:
-    """Orthonormal (n, multiplicity) basis of grp's eigenspace in s.
-
-    Sliced from s.eigenvectors. A values-first spectrum has none until the
-    first request, which decomposes its graph once in full to fill them in.
-    """
-    if s.eigenvectors is None:
-        # frozen only against callers: the first request fills the field once
-        object.__setattr__(s, "eigenvectors", eigendecompose(s._graph).eigenvectors)
-    return s.eigenvectors[:, list(grp.indices)]
-
-
 def eigenvector_one_products(s: Spectrum) -> np.ndarray:
     """|u_i^T 1| per eigenvector, in eigenvalue order.
 
@@ -310,7 +298,7 @@ def eigenspace(s: Spectrum, value: float, tol: float = 1e-6) -> Eigenspace:
     grp = s.find_group(value, tol)
     if grp is None:
         raise NoSuchEigenvalueError(f"no eigenvalue within {tol} of {value}")
-    return Eigenspace(grp.value, _group_basis(s, grp))
+    return Eigenspace(grp.value, s.eigenvectors[:, list(grp.indices)])
 
 
 @dataclass(frozen=True)
@@ -368,8 +356,8 @@ def check_separability_conditions(
     3. some shared eigenvalue has different multiplicities and a feature
        component outside the shared part of the two eigenspaces.
     A Spectrum may stand for its graph, which then is not decomposed again.
-    Eigenvectors are read only when conditions 2 or 3 visit a group, so a
-    values-first Spectrum whose groups all match forms none.
+    Eigenvectors are read only when conditions 2 or 3 visit an unmatched
+    group, so a values-first Spectrum serves only where every group matches.
     """
     x1, x2 = _as_rows(x1), _as_rows(x2)
     if x1.shape[0] != g1.n or x2.shape[0] != g2.n:
@@ -386,7 +374,7 @@ def check_separability_conditions(
     for grp, other in unmatched:
         if other is not None:
             continue
-        v = _group_basis(s1, grp)
+        v = s1.eigenvectors[:, list(grp.indices)]
         weight = float(np.linalg.norm(x1.T @ v))
         if weight > tol:
             cond2 = (grp.value, weight)
@@ -397,7 +385,7 @@ def check_separability_conditions(
         for grp, other in unmatched:
             if other is None:
                 continue
-            v1, v2 = _group_basis(s1, grp), _group_basis(s2, other)
+            v1, v2 = s1.eigenvectors[:, list(grp.indices)], s2.eigenvectors[:, list(other.indices)]
             # split off the shared subspace: singular value ~1 in V1^T V2 marks
             # a common direction. They descend, so the first r are shared; the
             # rest are copied out by mask, as a strided slice can move the last bit

@@ -248,15 +248,14 @@ def _certify(g1: Graph, g2: Graph):
     return (None, None) if mapping is None and classes == n else (colorings, mapping)
 
 
-def wl_distinguish(g1: Graph, g2: Graph, init: str = "uniform") -> str:
+def wl_distinguish(g1: Graph, g2: Graph) -> str:
     """Joint 1-WL verdict: "distinguished" or "indistinguishable".
 
-    The verdict is that of _certify's refinement of the disjoint union. init
-    is checked (ValueError on an unknown name) but cannot change the
-    verdict: one round from the uniform init gives the degree ranks, and
-    refinement from either ends at the same stable partition.
+    The verdict is that of _certify's refinement of the disjoint union. It
+    takes no initial coloring: one round from the uniform init gives the
+    degree ranks, and refinement from either ends at the same stable
+    partition, so both would give this verdict.
     """
-    _initial_colors(g1, init)  # raises on an unknown init
     return "distinguished" if _certify(g1, g2)[0] is None else "indistinguishable"
 
 

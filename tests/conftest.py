@@ -87,20 +87,6 @@ def random_graph_pairs(count, n_max=8, p=0.35, seed=0):
     return out
 
 
-def assert_conditions_agree(lazy, eager, r, rel=1e-9, abs_tol=0.0):
-    """Two ConditionReports of one pair agree up to the eigensolver's rounding.
-
-    Verdict, condition 1 and each witness's group (value within 1e-12 r,
-    multiplicities equal) must match; weights agree within rel (and abs_tol).
-    """
-    assert (lazy.verdict, lazy.cond1_signals_differ) == (eager.verdict, eager.cond1_signals_differ)
-    for a, b in ((lazy.cond2_witness, eager.cond2_witness), (lazy.cond3_witness, eager.cond3_witness)):
-        assert (a is None) == (b is None)
-        if a is not None:
-            assert abs(a[0] - b[0]) <= 1e-12 * r
-            assert list(a[1:]) == pytest.approx(list(b[1:]), rel=rel, abs=abs_tol)
-
-
 # ---------------------------------------------------------------------------
 # Reference implementations: the straightforward loops the library's array
 # code replaced. Each must give the library's answer bit for bit.

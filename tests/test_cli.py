@@ -36,12 +36,14 @@ def test_wl_single_graph(capsys):
 
 
 def test_wl_pair_verdict(capsys):
-    code, out, _ = run(capsys, "wl", "prism", "k33")
-    assert code == 1  # indistinguishable pair reported via exit code
-    assert out.strip() == "indistinguishable"
-    code, out, _ = run(capsys, "wl", "prism", "csl:2")
-    assert code == 0
-    assert out.strip() == "distinguished"
+    # --init sets the single-graph history only: either gives the pair verdict
+    for init in ("uniform", "degree"):
+        code, out, _ = run(capsys, "wl", "prism", "k33", "--init", init)
+        assert code == 1  # indistinguishable pair reported via exit code
+        assert out.strip() == "indistinguishable"
+        code, out, _ = run(capsys, "wl", "prism", "csl:2", "--init", init)
+        assert code == 0
+        assert out.strip() == "distinguished"
 
 
 def test_bad_csl_name_names_the_expected_form(capsys):
@@ -292,10 +294,16 @@ def test_config_file_and_flag_override(capsys, tmp_path):
         ({"filter": [[1]]}, ("stochastic", "prism"), "filter"),
         ({"csl": {"skips": 5}}, ("csl", "--generate", "csl-out"), "skips"),
         ([1], ("wl", "prism"), "JSON object"),
+        ({"csl": 5}, ("csl", "--generate", "csl-out"), "csl"),
+        ({"csl": []}, ("csl", "--generate", "csl-out"), "csl"),
+        ({"out": 7}, ("wl", "prism"), "out"),
+        ({"out": 1}, ("discriminate", "prism", "k33"), "out"),
+        ({"out": True}, ("features", "prism"), "out"),
+        ({"format": "xml"}, ("discriminate", "prism", "k33"), "format"),
     ],
     ids=[
         "tol-list", "tol-string", "samples-list", "seed-float", "depth-list", "filter-nested", "skips-int",
-        "config-list",
+        "config-list", "csl-int", "csl-list", "out-fd-7", "out-fd-1", "out-true", "format-xml",
     ],
 )
 def test_malformed_config_value_is_a_usage_error(capsys, tmp_path, config, argv, word):

@@ -27,7 +27,7 @@ from spectrawl import (
     spectra_differ,
 )
 from spectrawl import spectral, wl
-from spectrawl.discriminate import PAIR_FILTER
+from spectrawl.discriminate import PAIR_FILTER, PairConfig
 from spectrawl.gnn import DimensionMismatchError
 from spectrawl.spectral import (
     ConvergenceFailure,
@@ -38,7 +38,6 @@ from spectrawl.spectral import (
 )
 
 from conftest import (
-    assert_conditions_agree,
     bisect_find_group,
     full_refinement,
     loop_group_indices,
@@ -506,7 +505,7 @@ def _random_edges(n, rng):
 
 
 # ---------------------------------------------------------------------------
-# values-first spectra: eigvalsh checked by the trace identity, vectors on demand
+# values-first spectra: eigvalsh checked by the trace identity, no vectors
 # ---------------------------------------------------------------------------
 
 
@@ -560,9 +559,9 @@ def test_trace_check_passes_on_benchmark_graphs():
 
 
 def test_benchmark_pairs_form_no_eigenvectors(count_calls):
-    # values-first spectra form eigenvectors by one full decomposition, which
-    # is cheap only because no benchmark pair asks for them, with or without
-    # the condition test
+    # conditions 2 and 3 with a spectral witness decompose both graphs in
+    # full, which is cheap only because no benchmark pair looks for them
+    # there, with or without the condition test
     eig = count_calls(spectral, "eigendecompose")
     eigh = count_calls(np.linalg, "eigh")
     count = 0
@@ -685,16 +684,27 @@ def test_power_sum_guard_cuts_the_dense_ladder():
 
 
 def test_group_basis_makes_one_decomposition_on_first_request(count_calls):
-    g = corpus_graph("bihexagon")  # 10 simple groups
-    expected = eigendecompose(g).eigenvectors
-    s = _values_first(g)
+    # a values-first spectrum holds no eigenvectors and never gains any; a
+    # group's basis is a slice of one eigendecompose, made where a caller
+    # passes the graph, however many groups are visited
+    g, h = corpus_graph("bihexagon"), corpus_graph("bipentagon")  # 10 simple groups each
+    x = diag_powers(g, 3)
     eig = count_calls(spectral, "eigendecompose")
-    np.testing.assert_array_equal(spectral._group_basis(s, s.groups[3]), expected[:, [3]])
-    assert len(eig) == 1
-    np.testing.assert_array_equal(s.eigenvectors, expected)
-    for grp in s.groups:
-        spectral._group_basis(s, grp)
-    assert len(eig) == 1
+    s = _values_first(g)
+    report = check_separability_conditions(s, s, x, x)  # every group matches
+    assert report == spectral.ConditionReport(False, None, None, "inconclusive")
+    assert eig == [] and s.eigenvectors is None
+    assert [f.name for f in dataclasses.fields(Spectrum)] == [
+        "eigenvalues", "eigenvectors", "groups", "_group_values", "_group_sizes"
+    ]
+    features = np.random.default_rng(0).standard_normal((10, 2))
+    report = check_separability_conditions(g, h, features, features)
+    assert report.cond2_witness is not None  # an unmatched group was visited
+    assert [args[0] for args in eig] == [g, h]
+    full = eigendecompose(g)
+    for grp in full.groups:
+        np.testing.assert_array_equal(eigenspace(full, grp.value).basis, full.eigenvectors[:, list(grp.indices)])
+    assert len(eig) == 2  # eigenspace slices, and decomposes nothing
 
 
 def _fail(name):
@@ -715,20 +725,30 @@ def _fail_solve(monkeypatch):
 
 @pytest.mark.parametrize("fail", [_fail_block_check, _fail_solve])
 def test_values_first_fallback_gives_the_eager_report(monkeypatch, count_calls, fail):
-    # the one full decomposition is the only path to eigenvectors: no per-group
-    # block is solved for or checked, so failing either changes nothing
+    # values-first spectra hold no eigenvectors, so where a spectral witness
+    # sends the pair path to conditions 2 and 3, it decomposes each graph once
+    # in full: no per-group block is solved for or checked, failing either
+    # changes nothing, and the report is the eager one bit for bit on the
+    # pair's features, the first depth columns of its ladders (BLAS may round
+    # a product with a strided slice differently from one with a contiguous
+    # copy). At depths 1 and 2 (columns of ones and zeros) equal node counts
+    # fail condition 1
     fail(monkeypatch)
     eig = count_calls(spectral, "eigendecompose")
     rng = np.random.default_rng(5)
     empty4, edge4 = from_edge_list(4, []), from_edge_list(4, [(0, 1)])
     pairs = [(empty4, edge4), (edge4, empty4)]
     pairs += [(erdos_renyi(30, 0.2, rng), erdos_renyi(30, 0.2, rng)) for _ in range(3)]
+    witnesses = 0
     for g1, g2 in pairs:
-        x1, x2 = diag_powers(g1, 3), diag_powers(g2, 3)
-        calls = len(eig)
-        lazy = check_separability_conditions(_values_first(g1, 3), _values_first(g2, 3), x1, x2)
-        assert len(eig) > calls  # a group was visited, so the graph was decomposed
-        eager = check_separability_conditions(g1, g2, x1, x2)
-        # the values-first vectors are eigendecompose's: weights are bit-equal
-        r = max(1.0, *(np.abs(eigendecompose(g).eigenvalues).max() for g in (g1, g2)))
-        assert_conditions_agree(lazy, eager, r, rel=0.0)
+        for depth in (1, 2):
+            del eig[:]
+            report = discriminate_pair(g1, g2, PairConfig(check_conditions=True, condition_depth=depth))
+            assert report.spectral_witness is not None
+            assert [args[0] for args in eig] == [g1, g2]
+            width = max(len(PAIR_FILTER), depth)
+            x1, x2 = diag_powers(g1, width), diag_powers(g2, width)
+            eager = check_separability_conditions(g1, g2, x1[:, :depth], x2[:, :depth])
+            assert report.conditions == eager
+            witnesses += (eager.cond2_witness is not None) + (eager.cond3_witness is not None)
+    assert witnesses >= 5

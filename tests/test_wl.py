@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -130,10 +132,14 @@ def test_feature_matrix_rejects_a_non_integer_depth(prism, depth):
 
 
 def test_distinguish_checks_init_before_any_shortcut(prism, bihexagon, k33):
-    # node counts differ, degree multisets differ, then both equal
-    for g1, g2 in ((prism, bihexagon), (prism, from_edge_list(6, [(0, 1)])), (prism, k33)):
+    # the refinement history checks its init; the pair verdict takes none,
+    # as refinement from either init ends at the same stable partition
+    for g in (prism, bihexagon, k33, from_edge_list(6, [(0, 1)])):
         with pytest.raises(ValueError, match="unknown init 'bogus'"):
-            wl_distinguish(g1, g2, "bogus")
+            wl_refine(g, "bogus")
+    assert list(inspect.signature(wl_distinguish).parameters) == ["g1", "g2"]
+    with pytest.raises(TypeError):
+        wl_distinguish(prism, k33, "uniform")
 
 
 # Dict-keyed refinement, kept as the oracle for the array-keyed step: keys are
@@ -224,12 +230,12 @@ def test_distinguish_matches_dict_keyed_oracle():
     _, pairs = _oracle_cases()
     verdicts = []
     for g1, g2 in pairs:
+        verdict = wl_distinguish(g1, g2)
+        verdicts.append(verdict)
+        colorings, _ = wl._certify(g1, g2)
         for init in ("uniform", "degree"):
-            verdict = wl_distinguish(g1, g2, init)
             assert verdict == _oracle_distinguish(g1, g2, init)
-            verdicts.append(verdict)
             # equal colorings name the stable partition of both graphs
-            colorings, _ = wl._certify(g1, g2)
             if colorings is not None:
                 assert _same_partition(colorings, full_refinement(g1, g2, init)[2])
     assert {"distinguished", "indistinguishable"} <= set(verdicts)
@@ -302,14 +308,15 @@ def test_early_verdict_matches_full_refinement(count_calls):
     early_exits = 0
     for g1, g2 in pairs:
         assert sorted(g1.degrees) == sorted(g2.degrees)
+        verdict = wl_distinguish(g1, g2)
         for init in ("uniform", "degree"):
-            verdict, rounds, final = full_refinement(g1, g2, init)
+            verdict_at_init, rounds, final = full_refinement(g1, g2, init)
             del steps[:]
             colorings, _ = wl._certify(g1, g2)
             # exact rounds run only where the sums split no class
             assert len(steps) <= rounds
             early_exits += len(steps) < rounds
-            assert wl_distinguish(g1, g2, init) == verdict
+            assert verdict_at_init == verdict
             # equal colorings name the stable partition of both graphs
             assert (colorings is None) == (verdict == "distinguished")
             if colorings is not None:
@@ -346,16 +353,13 @@ def test_rounds_run_only_until_the_answer_is_known(count_calls, prism):
     # exact round runs, and the edge check stands in for the round that
     # would confirm it
     g = erdos_renyi(60, 0.5, rng)
-    for init in ("uniform", "degree"):
-        del steps[:]
-        assert wl_distinguish(g, apply_permutation(g, Permutation.random(60, rng)), init) == "indistinguishable"
-        assert steps == []
+    assert wl_distinguish(g, apply_permutation(g, Permutation.random(60, rng))) == "indistinguishable"
+    assert steps == []
     # a regular pair is stable from the degree ranks: no round
     del steps[:]
     csl = csl_base_graph(41, 5)
     for r in (prism, csl):
-        for init in ("uniform", "degree"):
-            assert wl_distinguish(r, apply_permutation(r, Permutation.random(r.n, rng)), init) == "indistinguishable"
+        assert wl_distinguish(r, apply_permutation(r, Permutation.random(r.n, rng))) == "indistinguishable"
     assert steps == []
 
 
@@ -385,13 +389,13 @@ def test_discrete_partition_that_is_no_isomorphism_is_distinguished(count_calls)
     for _ in range(10):
         g = erdos_renyi(int(rng.integers(30, 60)), 0.5, rng)
         h = _neighbor_degree_swap(g, rng)
+        del checks[:]
+        assert wl_distinguish(g, h) == "distinguished"
+        # refinement calls the edge check only at a discrete partition
+        decided_by_check += len(checks)
         for init in ("uniform", "degree"):
-            del checks[:]
-            assert wl_distinguish(g, h, init) == "distinguished"
             assert full_refinement(g, h, init)[0] == "distinguished"
-            # refinement calls the edge check only at a discrete partition
-            decided_by_check += len(checks)
-    assert decided_by_check == 20  # every pair, at both inits
+    assert decided_by_check == 10  # every pair
 
 
 def test_certificate_refinement_checks_the_map_of_a_discrete_partition(count_calls):
@@ -434,8 +438,8 @@ def test_differing_degrees_build_no_neighbor_lists(count_calls, prism, bihexagon
         g1, g2 = erdos_renyi(n, 0.2, rng), erdos_renyi(n, 0.2, rng)
         if sorted(g1.degrees) == sorted(g2.degrees):
             continue
+        assert wl_distinguish(g1, g2) == "distinguished"
         for init in ("uniform", "degree"):
-            assert wl_distinguish(g1, g2, init) == "distinguished"
             assert _oracle_distinguish(g1, g2, init) == "distinguished"
     assert wl_distinguish(prism, from_edge_list(6, [(0, 1), (2, 3)])) == "distinguished"
     # a regular pair is stable from the start
