@@ -122,8 +122,10 @@ class Graph:
 
     Build it from a symmetric {0,1} matrix with zero diagonal, Graph(n, A), or
     from an (m, 2) integer array listing each edge once, Graph(n, edges=e).
-    Only the CSR index edge_index = (indptr, indices) is kept, both int64 and
-    read-only: v's neighbours are indices[indptr[v]:indptr[v + 1]], ascending.
+    Only the CSR index edge_index = (indptr, indices) is kept: two read-only,
+    C-contiguous int64 arrays that own their data (neither is a view of the
+    input or of a larger buffer), so a graph holds 8 (n + 1) + 8 nnz bytes of
+    index. v's neighbours are indices[indptr[v]:indptr[v + 1]], ascending.
     Nothing else is ever stored on a graph: a dense matrix is built per call
     (adjacency) and lives only as long as its caller holds it.
     """
@@ -140,7 +142,9 @@ class Graph:
             a = np.asarray(adjacency, dtype=np.float64)
             if a.shape != (n, n):
                 raise GraphError(f"adjacency shape {a.shape} does not match n={n}")
-            rows, indices = np.nonzero(a)  # row-major: sorted by (row, column)
+            # sorted row-major codes row * n + column, split into two fresh arrays as
+            # the edge branch splits its codes (np.nonzero's would be views of one buffer)
+            rows, indices = np.divmod(np.flatnonzero(a), n)
             if not np.all(a[rows, indices] == 1.0):
                 raise GraphError("adjacency entries must be exactly 0 or 1")
             if np.any(loops := rows == indices):

@@ -321,8 +321,12 @@ class ConditionReport:
 
 
 def _as_rows(x) -> np.ndarray:
-    """x as a float64 matrix with one row per node; a vector becomes one column."""
-    return np.atleast_2d(np.asarray(x, dtype=np.float64).T).T
+    """x as a C-contiguous float64 matrix with one row per node; a vector becomes one column.
+
+    Contiguous, so that a product such as x.T @ v rounds the same for every
+    layout of the same values (BLAS takes another path on a strided slice).
+    """
+    return np.ascontiguousarray(np.atleast_2d(np.asarray(x, dtype=np.float64).T).T)
 
 
 def embeddings_isomorphic(y1: np.ndarray, y2: np.ndarray, tol: float = 1e-6) -> bool:
@@ -358,6 +362,8 @@ def check_separability_conditions(
     A Spectrum may stand for its graph, which then is not decomposed again.
     Eigenvectors are read only when conditions 2 or 3 visit an unmatched
     group, so a values-first Spectrum serves only where every group matches.
+    The report reads the features' values, not their layout: a strided slice
+    reports what its contiguous copy does.
     """
     x1, x2 = _as_rows(x1), _as_rows(x2)
     if x1.shape[0] != g1.n or x2.shape[0] != g2.n:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -453,7 +455,9 @@ def test_constructors_agree_on_one_edge_set(tmp_path):
     for h in built:
         assert h == g and hash(h) == hash(g)
         for a, b in zip(h.edge_index, g.edge_index):
+            # fresh contiguous arrays: no view of the input or of a wider buffer
             assert a.dtype == np.int64 and not a.flags.writeable
+            assert a.flags.c_contiguous and a.base is None
             np.testing.assert_array_equal(a, b)
     empty = Graph(3, edges=np.empty((0, 2), dtype=int))
     assert empty == Graph(3, np.zeros((3, 3))) != Graph(3, edges=[(0, 1)])
@@ -466,6 +470,23 @@ def test_erdos_renyi_keeps_the_dense_draw(n, p):
     upper = np.triu(ref.random((n, n)) < p, k=1)
     assert erdos_renyi(n, p, rng) == Graph(n, (upper | upper.T).astype(np.float64))
     assert rng.random() == ref.random()
+
+
+def test_dense_constructor_holds_only_its_index():
+    # the matrix is dropped once the graph is built; what stays traced is the
+    # graph's index, 8 (n + 1) + 8 nnz bytes, and a few small Python objects
+    n = 600
+    Graph(3, erdos_renyi(3, 0.5, np.random.default_rng(0)).adjacency)  # a first call's lazy imports
+
+    def build():
+        a = erdos_renyi(n, 0.5, np.random.default_rng(109)).adjacency
+        g = Graph(n, a)
+        del a
+        return g, tracemalloc.get_traced_memory()[0]
+
+    (g, held), _ = traced_peak(build)
+    nnz = len(g.edge_index[1])
+    assert nnz > 170_000 and held <= 8 * (n + 1) + 8 * nnz + 16384
 
 
 def test_graph_keeps_no_dense_input(float64_builds):

@@ -728,11 +728,11 @@ def test_values_first_fallback_gives_the_eager_report(monkeypatch, count_calls, 
     # values-first spectra hold no eigenvectors, so where a spectral witness
     # sends the pair path to conditions 2 and 3, it decomposes each graph once
     # in full: no per-group block is solved for or checked, failing either
-    # changes nothing, and the report is the eager one bit for bit on the
-    # pair's features, the first depth columns of its ladders (BLAS may round
-    # a product with a strided slice differently from one with a contiguous
-    # copy). At depths 1 and 2 (columns of ones and zeros) equal node counts
-    # fail condition 1
+    # changes nothing, and the report is the eager one bit for bit on
+    # diag_powers(g, depth). The pair's features are the first depth columns
+    # of its deeper ladders, a strided slice; the condition test reads them
+    # contiguous, so the layout does not move a bit. At depths 1 and 2
+    # (columns of ones and zeros) equal node counts fail condition 1
     fail(monkeypatch)
     eig = count_calls(spectral, "eigendecompose")
     rng = np.random.default_rng(5)
@@ -746,9 +746,28 @@ def test_values_first_fallback_gives_the_eager_report(monkeypatch, count_calls, 
             report = discriminate_pair(g1, g2, PairConfig(check_conditions=True, condition_depth=depth))
             assert report.spectral_witness is not None
             assert [args[0] for args in eig] == [g1, g2]
-            width = max(len(PAIR_FILTER), depth)
-            x1, x2 = diag_powers(g1, width), diag_powers(g2, width)
-            eager = check_separability_conditions(g1, g2, x1[:, :depth], x2[:, :depth])
+            eager = check_separability_conditions(g1, g2, diag_powers(g1, depth), diag_powers(g2, depth))
             assert report.conditions == eager
             witnesses += (eager.cond2_witness is not None) + (eager.cond3_witness is not None)
     assert witnesses >= 5
+
+
+def test_condition_report_reads_values_not_layout():
+    # the same features as a strided slice of a deeper ladder (as the pair path
+    # passes them), a contiguous copy and a Fortran-order copy give one report
+    # bit for bit: condition 2's weights ||x^T V|| are formed on contiguous
+    # rows, whatever layout the caller holds
+    rng = np.random.default_rng(5)
+    pairs = [(erdos_renyi(30, 0.2, rng), erdos_renyi(30, 0.2, rng)) for _ in range(3)]
+    weights = 0
+    for g1, g2 in pairs:
+        x1, x2 = diag_powers(g1, len(PAIR_FILTER)), diag_powers(g2, len(PAIR_FILTER))
+        for depth in (1, 2):
+            y1, y2 = x1[:, :depth], x2[:, :depth]
+            reports = [
+                check_separability_conditions(g1, g2, f(y1), f(y2))
+                for f in (lambda y: y, np.ascontiguousarray, np.asfortranarray)
+            ]
+            assert not y1.flags.c_contiguous and reports[1:] == reports[:1] * 2
+            weights += reports[0].cond2_witness is not None
+    assert weights >= 5
